@@ -11,10 +11,10 @@
 #   ./ci.sh figures     # figure/trace/scheduler/checkpoint equivalence,
 #                       # scheduler microbench, perf-regression gate
 #   ./ci.sh topology    # scale-out fabrics: fat-tree-8/torus-8 smoke
-#                       # sweeps, three-way scheduler + checkpoint
-#                       # equivalence, PDES scaling, topology perf gate
+#                       # sweeps, event-vs-legacy scheduler + checkpoint
+#                       # equivalence, topology perf gate
 #   ./ci.sh sweep       # prefix-sharing sweeps: cold vs shared byte
-#                       # diff under all three schedulers, sweep perf
+#                       # diff under both schedulers, sweep perf
 #                       # gate (hit ratio), wall-clock speedup floor
 #   ./ci.sh all         # everything (default)
 #
@@ -159,15 +159,13 @@ step_figures_smoke() {
     fi
 }
 
-# The warm run adds --threads 4: thread count is excluded from the cache
-# key (parallel results are bit-identical), so a cache filled by a
-# sequential run must fully satisfy a parallel one.
+# A cache filled by one run must fully satisfy an identical re-run.
 step_figures_cache() {
     cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
         --quick fig14 --jobs 4 --cache-dir "$cache_dir" >/dev/null 2>&1
     local warm_stderr
     warm_stderr=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --jobs 4 --threads 4 --cache-dir "$cache_dir" 2>&1 >/dev/null)
+        --quick fig14 --jobs 4 --cache-dir "$cache_dir" 2>&1 >/dev/null)
     if ! grep -q "0 simulated" <<<"$warm_stderr"; then
         echo "FAIL: warm cache re-simulated configurations:" >&2
         echo "$warm_stderr" >&2
@@ -199,11 +197,11 @@ step_trace_determinism() {
     rm -f "$artifact_dir/trace-b.json" "$artifact_dir/timeseries-b.jsonl"
 }
 
-# The event-driven and conservative-parallel schedulers are pure
-# host-speed optimisations: the fig14 matrix and the event trace must be
-# bit-identical under all three.
+# The event-driven scheduler is a pure host-speed optimisation: the fig14
+# matrix, the event trace and the time series must be bit-identical to
+# the Legacy tick-everything referee.
 step_scheduler_equivalence() {
-    local legacy_out thr_out
+    local legacy_out
     if ! legacy_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
         --quick fig14 --legacy-scheduler 2>"$seq_err"); then
         echo "FAIL: legacy-scheduler figures run failed:" >&2
@@ -231,39 +229,12 @@ step_scheduler_equivalence() {
         exit 1
     fi
     rm -f "$artifact_dir/trace-legacy.json" "$artifact_dir/timeseries-legacy.jsonl"
-    if ! thr_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-        --quick fig14 --threads 4 2>"$seq_err"); then
-        echo "FAIL: --threads 4 figures run failed:" >&2
-        cat "$seq_err" >&2
-        exit 1
-    fi
-    if [[ "$seq_out" != "$thr_out" ]]; then
-        echo "FAIL: --threads 4 figure output differs from sequential" >&2
-        diff <(echo "$seq_out") <(echo "$thr_out") >&2 || true
-        exit 1
-    fi
-    cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-        --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-        --threads 4 \
-        --trace "$artifact_dir/trace-par.json" \
-        --timeseries "$artifact_dir/timeseries-par.jsonl" >/dev/null
-    if ! cmp -s "$artifact_dir/fig14-trace.json" "$artifact_dir/trace-par.json"; then
-        echo "FAIL: --threads 4 event trace differs from event-driven" >&2
-        cmp "$artifact_dir/fig14-trace.json" "$artifact_dir/trace-par.json" >&2 || true
-        exit 1
-    fi
-    if ! cmp -s "$artifact_dir/fig14-timeseries.jsonl" "$artifact_dir/timeseries-par.jsonl"; then
-        echo "FAIL: --threads 4 time series differs from event-driven" >&2
-        cmp "$artifact_dir/fig14-timeseries.jsonl" "$artifact_dir/timeseries-par.jsonl" >&2 || true
-        exit 1
-    fi
-    rm -f "$artifact_dir/trace-par.json" "$artifact_dir/timeseries-par.jsonl"
 }
 
 # Checkpoint → restore → continue must be byte-identical to the
 # uninterrupted run: metrics dump, event trace and time series alike,
 # with the snapshot taken at the cold run's midpoint and the restored
-# half replayed under all three schedulers (a snapshot is scheduler-
+# half replayed under both schedulers (a snapshot is scheduler-
 # portable by design). The snapshot itself is kept as a CI artifact
 # under the name given as $1; any further arguments (e.g. --topology)
 # are appended to every simulate invocation.
@@ -303,10 +274,10 @@ step_checkpoint_equivalence() {
     fi
     cp "$snap" "$artifact_dir/$artifact_name"
     local sched
-    for sched in "" "--legacy-scheduler" "--threads 4"; do
+    for sched in "" "--legacy-scheduler"; do
         local tag="event"
         [[ -n "$sched" ]] && tag="${sched#--}"
-        # shellcheck disable=SC2086  # $sched is intentionally word-split
+        # shellcheck disable=SC2086  # an empty $sched must vanish
         "${sim[@]}" "${base[@]}" $sched \
             --restore-from "$snap" \
             --trace "$ckpt_dir/warm-trace.json" \
@@ -334,8 +305,8 @@ step_checkpoint_equivalence() {
     done
 }
 
-# Informational (never gated — CI hosts have arbitrary core counts): the
-# idle-heavy/dense/parallel-domain numbers land next to the other
+# Informational (never gated — CI hosts vary): the idle-heavy/dense
+# legacy-vs-event numbers land next to the other
 # artifacts so a PR's claimed speedups can be checked against CI metal.
 step_scheduler_microbench() {
     cargo bench --offline -q -p netcrafter-bench --features criterion-bench \
@@ -376,23 +347,20 @@ step_topology_figure() {
 
 # Multi-hop routing is deterministic: the topology figure and a traced
 # fat-tree-8/torus-8 simulate run must be byte-identical under the
-# event-driven, legacy, and 4-thread conservative-parallel schedulers.
+# event-driven scheduler and the Legacy referee.
 step_topology_scheduler_equivalence() {
-    local sched out
-    for sched in "--legacy-scheduler" "--threads 4"; do
-        # shellcheck disable=SC2086  # $sched is intentionally word-split
-        if ! out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
-            --quick topology $sched 2>"$seq_err"); then
-            echo "FAIL ($sched): topology figure run failed:" >&2
-            cat "$seq_err" >&2
-            exit 1
-        fi
-        if [[ "$topo_out" != "$out" ]]; then
-            echo "FAIL ($sched): topology figure output differs from event-driven" >&2
-            diff <(echo "$topo_out") <(echo "$out") >&2 || true
-            exit 1
-        fi
-    done
+    local out
+    if ! out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
+        --quick topology --legacy-scheduler 2>"$seq_err"); then
+        echo "FAIL: legacy-scheduler topology figure run failed:" >&2
+        cat "$seq_err" >&2
+        exit 1
+    fi
+    if [[ "$topo_out" != "$out" ]]; then
+        echo "FAIL: legacy-scheduler topology figure output differs from event-driven" >&2
+        diff <(echo "$topo_out") <(echo "$out") >&2 || true
+        exit 1
+    fi
     local spec fabric
     for spec in fat-tree:k=4 torus:2x2x2; do
         fabric=${spec%%:*}
@@ -401,90 +369,28 @@ step_topology_scheduler_equivalence() {
         cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
             --topology "$spec" --workload GUPS --variant netcrafter --cus 2 --scale tiny \
             --trace "$ref_trace" --timeseries "$ref_ts" >/dev/null
-        for sched in "--legacy-scheduler" "--threads 4"; do
-            # shellcheck disable=SC2086  # $sched is intentionally word-split
-            cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
-                --topology "$spec" --workload GUPS --variant netcrafter --cus 2 --scale tiny \
-                $sched \
-                --trace "$ckpt_dir/alt-trace.json" \
-                --timeseries "$ckpt_dir/alt-ts.jsonl" >/dev/null
-            if ! cmp -s "$ref_trace" "$ckpt_dir/alt-trace.json"; then
-                echo "FAIL ($spec $sched): event trace differs from event-driven" >&2
-                cmp "$ref_trace" "$ckpt_dir/alt-trace.json" >&2 || true
-                exit 1
-            fi
-            if ! cmp -s "$ref_ts" "$ckpt_dir/alt-ts.jsonl"; then
-                echo "FAIL ($spec $sched): time series differs from event-driven" >&2
-                cmp "$ref_ts" "$ckpt_dir/alt-ts.jsonl" >&2 || true
-                exit 1
-            fi
-        done
-    done
-}
-
-# Times `reps` back-to-back fat-tree-8 paper-scale simulate runs at the
-# given thread count, printing whole-run wall seconds.
-time_fat_tree_reps() {
-    local threads="$1" reps="$2" t0 t1 i
-    t0=$(date +%s%N)
-    for ((i = 0; i < reps; i++)); do
-        target/release/simulate --topology fat-tree:k=4 --workload GUPS \
-            --variant netcrafter --cus 4 --scale paper --threads "$threads" \
-            >/dev/null 2>&1
-    done
-    t1=$(date +%s%N)
-    awk -v a="$t0" -v b="$t1" 'BEGIN { printf "%.3f", (b - a) / 1e9 }'
-}
-
-# Multicore-aware PDES scaling check on the fat-tree fabric. The
-# numbers always land in the artifacts and the step summary; the 1.5x
-# speedup floor for --threads 4 is only enforced when the host really
-# has >= 4 cores (on a 1-core CI container the parallel scheduler is a
-# pure-overhead measurement, so there it records and skips).
-step_topology_scaling() {
-    cargo build --release --offline -p netcrafter-bench
-    local cores reps=6
-    cores=$(nproc)
-    # One warm-up run so neither timing pays first-touch costs.
-    target/release/simulate --topology fat-tree:k=4 --workload GUPS \
-        --variant netcrafter --cus 4 --scale paper >/dev/null 2>&1
-    local t1s t4s speedup efficiency
-    t1s=$(time_fat_tree_reps 1 "$reps")
-    t4s=$(time_fat_tree_reps 4 "$reps")
-    speedup=$(awk -v a="$t1s" -v b="$t4s" 'BEGIN { printf "%.2f", a / b }')
-    efficiency=$(awk -v s="$speedup" 'BEGIN { printf "%.2f", s / 4 }')
-    {
-        echo "cores=$cores"
-        echo "reps=$reps"
-        echo "threads1_seconds=$t1s"
-        echo "threads4_seconds=$t4s"
-        echo "speedup=$speedup"
-        echo "efficiency_per_core=$efficiency"
-    } | tee "$artifact_dir/topology-scaling.txt"
-    if [[ -n "${GITHUB_STEP_SUMMARY:-}" ]]; then
-        {
-            echo ""
-            echo "### PDES scaling (fat-tree-8, GUPS paper scale, $reps reps)"
-            echo ""
-            echo "| cores | 1 thread | 4 threads | speedup | efficiency/core |"
-            echo "| --- | --- | --- | --- | --- |"
-            echo "| $cores | ${t1s}s | ${t4s}s | ${speedup}x | $efficiency |"
-        } >>"$GITHUB_STEP_SUMMARY"
-    fi
-    if ((cores >= 4)); then
-        if awk -v s="$speedup" 'BEGIN { exit !(s < 1.5) }'; then
-            echo "FAIL: --threads 4 speedup ${speedup}x < 1.5x on a $cores-core host" >&2
+        cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
+            --topology "$spec" --workload GUPS --variant netcrafter --cus 2 --scale tiny \
+            --legacy-scheduler \
+            --trace "$ckpt_dir/alt-trace.json" \
+            --timeseries "$ckpt_dir/alt-ts.jsonl" >/dev/null
+        if ! cmp -s "$ref_trace" "$ckpt_dir/alt-trace.json"; then
+            echo "FAIL ($spec): legacy-scheduler event trace differs from event-driven" >&2
+            cmp "$ref_trace" "$ckpt_dir/alt-trace.json" >&2 || true
             exit 1
         fi
-    else
-        echo "note: $cores core(s) < 4 — recording scaling numbers, skipping the 1.5x floor"
-    fi
+        if ! cmp -s "$ref_ts" "$ckpt_dir/alt-ts.jsonl"; then
+            echo "FAIL ($spec): legacy-scheduler time series differs from event-driven" >&2
+            cmp "$ref_ts" "$ckpt_dir/alt-ts.jsonl" >&2 || true
+            exit 1
+        fi
+    done
 }
 
 # Prefix sharing is a pure host-speed optimisation: a warmup-window
 # fig14 sweep resolved through in-memory snapshot forks must render
-# byte-identically to the cold (--no-prefix-share) sweep, under the
-# event-driven, legacy, and 4-thread conservative-parallel schedulers.
+# byte-identically to the cold (--no-prefix-share) sweep, under both the
+# event-driven scheduler and the Legacy referee.
 step_sweep_equivalence() {
     local warmup=2800 cold_out shared_out sched
     if ! cold_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
@@ -493,10 +399,10 @@ step_sweep_equivalence() {
         cat "$seq_err" >&2
         exit 1
     fi
-    for sched in "" "--legacy-scheduler" "--threads 4"; do
+    for sched in "" "--legacy-scheduler"; do
         local tag="event"
         [[ -n "$sched" ]] && tag="${sched#--}"
-        # shellcheck disable=SC2086  # $sched is intentionally word-split
+        # shellcheck disable=SC2086  # an empty $sched must vanish
         if ! shared_out=$(cargo run --release --offline -q -p netcrafter-bench --bin figures -- \
             --quick fig14 --warmup "$warmup" --jobs 4 $sched 2>"$par_err"); then
             echo "FAIL ($tag): prefix-shared figures run failed:" >&2
@@ -584,7 +490,7 @@ if [[ "$mode" == figures || "$mode" == all ]]; then
     run_step "figures smoke run: --quick fig14, sequential vs 4 workers" step_figures_smoke
     run_step "figures cache smoke run: warm cache must re-simulate nothing" step_figures_cache
     run_step "trace determinism: two identical --trace runs must be byte-identical" step_trace_determinism
-    run_step "scheduler equivalence: event-driven vs --legacy-scheduler vs --threads 4" step_scheduler_equivalence
+    run_step "scheduler equivalence: event-driven vs --legacy-scheduler" step_scheduler_equivalence
     run_step "checkpoint equivalence: uninterrupted vs midpoint checkpoint + restore" step_checkpoint_equivalence fig14-checkpoint.bin
     run_step "scheduler microbench: speedup numbers kept as a CI artifact" step_scheduler_microbench
     run_step "perf-regression gate: fig14 headline numbers vs committed baseline" step_perf_gate
@@ -592,14 +498,13 @@ fi
 
 if [[ "$mode" == topology || "$mode" == all ]]; then
     run_step "topology figure: --quick topology, sequential vs 4 workers" step_topology_figure
-    run_step "topology scheduler equivalence: fat-tree-8 & torus-8 under all three schedulers" step_topology_scheduler_equivalence
+    run_step "topology scheduler equivalence: fat-tree-8 & torus-8, event-driven vs --legacy-scheduler" step_topology_scheduler_equivalence
     run_step "topology checkpoint equivalence: fat-tree-8 midpoint checkpoint + restore" step_checkpoint_equivalence topology-checkpoint.bin --topology fat-tree:k=4
-    run_step "PDES scaling: per-core efficiency on fat-tree-8" step_topology_scaling
     run_step "perf-regression gate: topology matrix vs committed baseline" step_topology_perf_gate
 fi
 
 if [[ "$mode" == sweep || "$mode" == all ]]; then
-    run_step "sweep equivalence: cold vs prefix-shared fig14 under all three schedulers" step_sweep_equivalence
+    run_step "sweep equivalence: cold vs prefix-shared fig14, event-driven and --legacy-scheduler" step_sweep_equivalence
     run_step "perf-regression gate: sweep matrix + prefix-hit ratio vs committed baseline" step_sweep_perf_gate
     run_step "sweep speedup: prefix-sharing wall-clock floor" step_sweep_speedup
 fi

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use netcrafter_proto::{Message, NodeId};
 use netcrafter_sim::{
-    Component, ComponentId, Ctx, Cycle, Engine, EngineBuilder, Partition, SchedulerMode, Wake,
+    Component, ComponentId, Ctx, Cycle, Engine, EngineBuilder, SchedulerMode, Wake,
 };
 
 /// A message-driven forwarder: sleeps until a message arrives, then relays
@@ -61,62 +61,6 @@ impl Component for Churn {
     }
 }
 
-/// A [`Churn`] that quiesces after `left` ticks, doing `rounds` hash mixes
-/// per tick. The dense-domain building block: per-tick work is heavy
-/// enough that domain parallelism has something to win.
-struct BoundedChurn {
-    state: u64,
-    rounds: u32,
-    left: u64,
-    name: String,
-}
-
-impl Component for BoundedChurn {
-    fn tick(&mut self, _ctx: &mut Ctx<'_>) {
-        for _ in 0..self.rounds {
-            self.state = (self.state ^ 0x9e37_79b9_7f4a_7c15)
-                .wrapping_mul(0xbf58_476d_1ce4_e5b9)
-                .rotate_left(31);
-        }
-        self.left = self.left.saturating_sub(1);
-    }
-    fn busy(&self) -> bool {
-        self.left > 0
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A [`Relay`] that stops forwarding after `hops` deliveries, so the
-/// ring quiesces deterministically.
-struct BoundedRelay {
-    next: ComponentId,
-    delay: u64,
-    hops: u64,
-    name: String,
-}
-
-impl Component for BoundedRelay {
-    fn tick(&mut self, ctx: &mut Ctx<'_>) {
-        while let Some(msg) = ctx.recv() {
-            if self.hops > 0 {
-                self.hops -= 1;
-                ctx.send(self.next, msg, self.delay);
-            }
-        }
-    }
-    fn busy(&self) -> bool {
-        false
-    }
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn next_wake(&self, _now: Cycle) -> Wake {
-        Wake::OnMessage
-    }
-}
-
 /// Ring of `n` message-driven relays with a single token circulating every
 /// `delay` cycles: almost every component is idle on almost every cycle.
 fn build_idle_heavy(n: usize, delay: u64, mode: SchedulerMode) -> Engine {
@@ -161,81 +105,6 @@ fn build_dense(n: usize, mode: SchedulerMode) -> Engine {
     e
 }
 
-/// The conservative-parallel target shape: `DENSE_DOMAINS` domains of
-/// always-busy churn with a single token crossing a domain boundary every
-/// `DOMAIN_DELAY` cycles (dense per-domain work, sparse cross-domain
-/// traffic — the multi-GPU cluster profile). `DOMAIN_DELAY` doubles as
-/// the partition lookahead, so every epoch runs 64 cycles per domain
-/// between barriers.
-const DENSE_DOMAINS: usize = 4;
-const DOMAIN_DELAY: u64 = 64;
-const DENSE_CYCLES: u64 = 20_000;
-
-fn build_dense_domains(threads: usize) -> Engine {
-    const CHURN_PER_DOMAIN: usize = 16;
-    const ROUNDS: u32 = 128;
-    let mut b = EngineBuilder::new();
-    let mut domain_of = Vec::new();
-    let ring: Vec<ComponentId> = (0..DENSE_DOMAINS).map(|_| b.reserve()).collect();
-    for (d, &id) in ring.iter().enumerate() {
-        b.install(
-            id,
-            Box::new(BoundedRelay {
-                next: ring[(d + 1) % DENSE_DOMAINS],
-                delay: DOMAIN_DELAY,
-                hops: DENSE_CYCLES / DOMAIN_DELAY / DENSE_DOMAINS as u64,
-                name: format!("ring{d}"),
-            }),
-        );
-        domain_of.push(d);
-    }
-    for d in 0..DENSE_DOMAINS {
-        for i in 0..CHURN_PER_DOMAIN {
-            b.add(Box::new(BoundedChurn {
-                state: (d * CHURN_PER_DOMAIN + i) as u64,
-                rounds: ROUNDS,
-                left: DENSE_CYCLES,
-                name: format!("churn{d}_{i}"),
-            }));
-            domain_of.push(d);
-        }
-    }
-    let mut e = b.build();
-    if threads > 1 {
-        e.set_parallel(Partition::new(domain_of, DOMAIN_DELAY), threads);
-    } else {
-        e.set_scheduler(SchedulerMode::EventDriven);
-    }
-    e.inject(
-        ring[0],
-        Message::Credit {
-            from: NodeId(0),
-            count: 1,
-            link: 0,
-        },
-        1,
-    );
-    e
-}
-
-/// Runs `build()` → `run_to_quiescence` (the parallel scheduler's entry
-/// point) several times and returns the best host cycles/sec.
-fn measure_quiesce(mut build: impl FnMut() -> Engine) -> f64 {
-    let mut best = Duration::MAX;
-    let mut cycles = 0;
-    let mut runs = 0u32;
-    let t_all = Instant::now();
-    while runs < 20 && (runs < 3 || t_all.elapsed() < Duration::from_millis(1500)) {
-        let mut e = build();
-        let t0 = Instant::now();
-        let end = e.run_to_quiescence(2 * DENSE_CYCLES);
-        best = best.min(t0.elapsed());
-        cycles = black_box(end);
-        runs += 1;
-    }
-    cycles as f64 / best.as_secs_f64()
-}
-
 /// Runs `build()` → `run_while(cycles)` several times and returns the best
 /// host cycles/sec (minimum wall time is the robust estimator; noise is
 /// strictly additive).
@@ -270,11 +139,4 @@ fn main() {
         build_idle_heavy(256, 64, mode)
     });
     report("dense_64_churn_20k", 20_000, |mode| build_dense(64, mode));
-    let seq = measure_quiesce(|| build_dense_domains(1));
-    let par = measure_quiesce(|| build_dense_domains(4));
-    println!(
-        "engine/{:<34} event {seq:>12.0} cyc/s   par-4 {par:>13.0} cyc/s   speedup {:>6.2}x",
-        "dense_4domain_64churn_20k",
-        par / seq
-    );
 }

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! bench_gate emit OUT.json [--matrix fig14|topology|sweep] [--jobs N]
-//!            [--threads N] [--reps N] [--no-prefix-share]
+//!            [--reps N] [--no-prefix-share] [--legacy-scheduler]
 //! bench_gate check BASELINE.json CURRENT.json [--tolerance PCT]
 //!            [--no-throughput-gate]
 //! ```
@@ -37,9 +37,9 @@
 //! the distance to the committed aspirational `target_cycles_per_sec`
 //! (never gated — it tracks the host-speed goal, not the floor).
 //! `--legacy-scheduler` runs the matrix under the legacy
-//! tick-everything engine scheduler (the numbers must not change);
-//! `--threads N` runs each simulation on N domain worker threads
-//! (ditto).
+//! tick-everything engine scheduler (the numbers must not change).
+//! Unknown flags, missing values and unparsable values exit 2 with the
+//! usage text; `--help` prints it and exits 0.
 //!
 //! An intentional model change therefore requires re-committing the
 //! baseline: `cargo run --release -p netcrafter-bench --bin bench_gate --
@@ -48,6 +48,7 @@
 use std::time::Instant;
 
 use netcrafter_bench::{
+    cli::{Args, Cli},
     figures::{topology_job, TOPOLOGY_WORKLOADS},
     geomean, Runner,
 };
@@ -74,15 +75,22 @@ const VARIANTS: [SystemVariant; 4] = [
     SystemVariant::SectorCache,
 ];
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: bench_gate emit OUT.json [--matrix fig14|topology|sweep] [--jobs N] \
-         [--threads N] [--reps N] [--no-prefix-share] [--legacy-scheduler]\n\
-         \u{20}      bench_gate check BASELINE.json CURRENT.json [--tolerance PCT] \
-         [--no-throughput-gate]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: bench_gate emit OUT.json [--matrix fig14|topology|sweep] [--jobs N] \
+                     [--reps N] [--no-prefix-share] [--legacy-scheduler]\n\
+                     \u{20}      bench_gate check BASELINE.json CURRENT.json [--tolerance PCT] \
+                     [--no-throughput-gate]";
+
+static EMIT_CLI: Cli = Cli {
+    usage: USAGE,
+    values: &["--matrix", "--jobs", "--reps"],
+    switches: &["--no-prefix-share", "--legacy-scheduler"],
+};
+
+static CHECK_CLI: Cli = Cli {
+    usage: USAGE,
+    values: &["--tolerance"],
+    switches: &["--no-throughput-gate"],
+};
 
 /// One gated run of an emit matrix: the JSON identity keys (`workload`
 /// may embed a fabric name) plus the job that produces its numbers.
@@ -191,54 +199,51 @@ fn sweep_cells(r: &Runner) -> Vec<Cell> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--legacy-scheduler") {
+    let mut raw = std::env::args().skip(1);
+    match raw.next().as_deref() {
+        Some("emit") => emit(&EMIT_CLI.parse_or_exit(raw)),
+        Some("check") => check(&CHECK_CLI.parse_or_exit(raw)),
+        Some("--help" | "-h") => {
+            println!("{USAGE}");
+            std::process::exit(0);
+        }
+        _ => EMIT_CLI.fail("bench_gate: expected `emit` or `check`"),
+    }
+}
+
+/// The `N` positional arguments a subcommand takes, or exit 2.
+fn positionals<const N: usize>(args: &Args) -> [&str; N] {
+    let got: Vec<&str> = args.positional.iter().map(String::as_str).collect();
+    got.try_into().unwrap_or_else(|got: Vec<&str>| {
+        args.fail(&format!("expected {N} path argument(s), got {got:?}"))
+    })
+}
+
+fn emit(args: &Args) -> ! {
+    let [out_path] = positionals(args);
+    // Must run before any simulation; the gated numbers are identical
+    // under both schedulers.
+    if args.has("--legacy-scheduler") {
         netcrafter_sim::set_default_scheduler(netcrafter_sim::SchedulerMode::Legacy);
     }
-    match args.first().map(String::as_str) {
-        Some("emit") => emit(&args[1..]),
-        Some("check") => check(&args[1..]),
-        _ => usage(),
-    }
-}
-
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn emit(args: &[String]) -> ! {
-    let out_path = args.first().filter(|a| !a.starts_with("--")).cloned();
-    let Some(out_path) = out_path else { usage() };
-    let jobs: usize = flag_value(args, "--jobs")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let threads: usize = flag_value(args, "--threads")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let reps: usize = flag_value(args, "--reps")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3)
-        .max(1);
-    let matrix_name = flag_value(args, "--matrix").unwrap_or_else(|| "fig14".into());
-    let matrix: fn(&Runner) -> Vec<Cell> = match matrix_name.as_str() {
+    let jobs: usize = args.parsed("--jobs").unwrap_or(1);
+    let reps: usize = args.parsed("--reps").unwrap_or(3).max(1);
+    let matrix_name = args.value("--matrix").unwrap_or("fig14");
+    let matrix: fn(&Runner) -> Vec<Cell> = match matrix_name {
         "fig14" => fig14_cells,
         "topology" => topology_cells,
         "sweep" => sweep_cells,
-        other => {
-            eprintln!("bench_gate: unknown matrix {other:?} (fig14 | topology | sweep)");
-            std::process::exit(2);
-        }
+        other => args.fail(&format!(
+            "bench_gate: unknown matrix {other:?} (fig14 | topology | sweep)"
+        )),
     };
     let sweep_matrix = matrix_name == "sweep";
-    let no_prefix_share = args.iter().any(|a| a == "--no-prefix-share");
+    let no_prefix_share = args.has("--no-prefix-share");
     // The sweep matrix configures its warmup window *before* cells are
     // built: each JobSpec snapshots the runner's base config, and the
     // warmup is part of the job's physical identity.
     let mk_runner = || {
-        let mut r = Runner::quick().with_jobs(jobs).with_threads(threads);
+        let mut r = Runner::quick().with_jobs(jobs);
         if sweep_matrix {
             r.base_cfg.netcrafter.warmup_cycles = SWEEP_WARMUP;
             r = r.with_prefix_share(!no_prefix_share);
@@ -387,7 +392,7 @@ fn emit(args: &[String]) -> ! {
     );
     // Sanity: the report must parse with our own reader before it can gate.
     json::parse(&report).expect("emitted report is valid JSON");
-    std::fs::write(&out_path, report).unwrap_or_else(|e| {
+    std::fs::write(out_path, report).unwrap_or_else(|e| {
         eprintln!("cannot write {out_path}: {e}");
         std::process::exit(1);
     });
@@ -475,19 +480,9 @@ fn load(path: &str) -> json::Value {
     })
 }
 
-fn check(args: &[String]) -> ! {
-    let (Some(base_path), Some(cur_path)) = (
-        args.first().filter(|a| !a.starts_with("--")),
-        args.get(1).filter(|a| !a.starts_with("--")),
-    ) else {
-        usage()
-    };
-    let tolerance_pct: f64 = flag_value(args, "--tolerance").map_or(0.0, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--tolerance expects a percentage, got {v:?}");
-            std::process::exit(2);
-        })
-    });
+fn check(args: &Args) -> ! {
+    let [base_path, cur_path] = positionals(args);
+    let tolerance_pct: f64 = args.parsed("--tolerance").unwrap_or(0.0);
 
     let base = load(base_path);
     let cur = load(cur_path);
@@ -531,7 +526,7 @@ fn check(args: &[String]) -> ! {
     // above are the hard gate). `--no-throughput-gate` keeps the message
     // but never fails on it.
     const MAX_RATE_REGRESSION_PCT: f64 = 25.0;
-    let rate_gated = !args.iter().any(|a| a == "--no-throughput-gate");
+    let rate_gated = !args.has("--no-throughput-gate");
     let rate = |v: &json::Value| v.get("cycles_per_sec").and_then(json::Value::as_f64);
     let mut rate_failure = None;
     if let (Some(b), Some(c)) = (rate(&base), rate(&cur)) {

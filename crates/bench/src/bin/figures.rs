@@ -1,7 +1,7 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! figures [--quick] [--big] [--verbose] [--jobs N] [--threads N]
+//! figures [--quick] [--big] [--verbose] [--jobs N]
 //!         [--cache-dir DIR] [--checkpoint-at CYCLE] [--checkpoint-dir DIR]
 //!         [--restore-from FILE] [--trace FILE] [--timeseries FILE]
 //!         [--trace-filter SPEC] [--sample-window N] [--legacy-scheduler]
@@ -14,11 +14,9 @@
 //! ablation, scaling.
 //!
 //! `--jobs N` resolves the figures' simulations on N worker threads;
-//! `--threads N` runs each simulation's cluster domains on N worker
-//! threads (the conservative parallel scheduler); `--cache-dir DIR`
-//! persists every result so a re-run only simulates configurations it
-//! has never seen. All three leave the printed tables byte-identical to
-//! a sequential, uncached run.
+//! `--cache-dir DIR` persists every result so a re-run only simulates
+//! configurations it has never seen. Both leave the printed tables
+//! byte-identical to a sequential, uncached run.
 //!
 //! `--trace FILE` / `--timeseries FILE` re-run the *first* simulation of
 //! the first requested figure with observability on and write a
@@ -37,92 +35,71 @@
 //! DESIGN.md §3.7). `--no-prefix-share` disables the sharing while
 //! keeping the warmup semantics — output stays byte-identical, only
 //! host-side wall-clock changes.
+//!
+//! Unknown flags, missing values and unparsable values exit 2 with the
+//! usage text; `--help` prints it and exits 0 without simulating.
 
 use std::time::Instant;
 
-use netcrafter_bench::traceio::TRACE_VALUE_FLAGS;
+use netcrafter_bench::cli::Cli;
 use netcrafter_bench::{figures, stats_report, Runner, TraceArgs};
 use netcrafter_multigpu::CheckpointPlan;
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
+static CLI: Cli = Cli {
+    usage: "usage: figures [--quick] [--big] [--verbose] [--jobs N] [--cache-dir DIR] \
+            [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
+            [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
+            [--legacy-scheduler] [--warmup CYCLES] [--no-prefix-share] <id>... | all",
+    values: &[
+        "--jobs",
+        "--cache-dir",
+        "--checkpoint-at",
+        "--checkpoint-dir",
+        "--restore-from",
+        "--warmup",
+        "--trace",
+        "--timeseries",
+        "--trace-filter",
+        "--sample-window",
+    ],
+    switches: &[
+        "--quick",
+        "--big",
+        "--verbose",
+        "--legacy-scheduler",
+        "--no-prefix-share",
+    ],
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = CLI.from_env();
     // Must run before any simulation; the printed tables are identical
     // under both schedulers (CI diffs them), only host speed changes.
-    if args.iter().any(|a| a == "--legacy-scheduler") {
+    if args.has("--legacy-scheduler") {
         netcrafter_sim::set_default_scheduler(netcrafter_sim::SchedulerMode::Legacy);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let big = args.iter().any(|a| a == "--big");
-    let verbose = args.iter().any(|a| a == "--verbose");
-    let jobs: usize = flag_value(&args, "--jobs").map_or(1, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--jobs expects a positive integer, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let threads: usize = flag_value(&args, "--threads").map_or(1, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--threads expects a positive integer, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let cache_dir = flag_value(&args, "--cache-dir");
-    let checkpoint_at: Option<u64> = flag_value(&args, "--checkpoint-at").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--checkpoint-at expects a cycle count, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let checkpoint_dir = flag_value(&args, "--checkpoint-dir");
-    let restore_path = flag_value(&args, "--restore-from");
-    let warmup: Option<u64> = flag_value(&args, "--warmup").map(|v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--warmup expects a cycle count, got {v:?}");
-            std::process::exit(2);
-        })
-    });
-    let no_prefix_share = args.iter().any(|a| a == "--no-prefix-share");
+    let quick = args.has("--quick");
+    let big = args.has("--big");
+    let verbose = args.has("--verbose");
+    let jobs: usize = args.parsed("--jobs").unwrap_or(1);
+    let cache_dir = args.value("--cache-dir");
+    let checkpoint_at: Option<u64> = args.parsed("--checkpoint-at");
+    let checkpoint_dir = args.value("--checkpoint-dir");
+    let restore_path = args.value("--restore-from");
+    let warmup: Option<u64> = args.parsed("--warmup");
+    let no_prefix_share = args.has("--no-prefix-share");
 
-    // Everything that is not a flag (or a flag's value) is a figure id.
-    let mut ids: Vec<String> = Vec::new();
-    let mut skip_next = false;
-    for arg in &args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if arg == "--jobs"
-            || arg == "--threads"
-            || arg == "--cache-dir"
-            || arg == "--checkpoint-at"
-            || arg == "--checkpoint-dir"
-            || arg == "--restore-from"
-            || arg == "--warmup"
-            || TRACE_VALUE_FLAGS.contains(&arg.as_str())
-        {
-            skip_next = true;
-        } else if !arg.starts_with("--") {
-            ids.push(arg.clone());
-        }
-    }
-    let trace_args = TraceArgs::parse(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let trace_args = TraceArgs::parse(&args).unwrap_or_else(|e| args.fail(&e));
+    let mut ids = args.positional.clone();
     if ids.is_empty() || ids.iter().any(|i| i == "all") {
         ids = figures::all_ids().iter().map(ToString::to_string).collect();
     }
     for id in &ids {
         if !figures::all_ids().contains(&id.as_str()) {
-            eprintln!("unknown figure id {id:?}; known: {:?}", figures::all_ids());
-            std::process::exit(2);
+            args.fail(&format!(
+                "unknown figure id {id:?}; known: {:?}",
+                figures::all_ids()
+            ));
         }
     }
 
@@ -139,14 +116,11 @@ fn main() {
         runner.scale.mem_ops_per_wave *= 2;
     }
     runner.verbose = verbose;
-    runner = runner
-        .with_jobs(jobs)
-        .with_threads(threads)
-        .with_prefix_share(!no_prefix_share);
+    runner = runner.with_jobs(jobs).with_prefix_share(!no_prefix_share);
     if let Some(w) = warmup {
         runner.base_cfg.netcrafter.warmup_cycles = w;
     }
-    if let Some(dir) = &cache_dir {
+    if let Some(dir) = cache_dir {
         runner = runner.with_cache_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open cache dir {dir}: {e}");
             std::process::exit(1);
@@ -155,7 +129,7 @@ fn main() {
     if let Some(at) = checkpoint_at {
         runner = runner.with_checkpoint_at(at);
     }
-    if let Some(dir) = &checkpoint_dir {
+    if let Some(dir) = checkpoint_dir {
         runner = runner.with_checkpoint_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open checkpoint dir {dir}: {e}");
             std::process::exit(1);
@@ -219,7 +193,7 @@ fn main() {
         eprintln!("[tracing {} …]", job.memo_key());
         let plan = CheckpointPlan {
             checkpoint_at,
-            restore_from: restore_path.as_ref().map(|path| {
+            restore_from: restore_path.map(|path| {
                 std::fs::read(path).unwrap_or_else(|e| {
                     eprintln!("cannot read snapshot {path}: {e}");
                     std::process::exit(1);

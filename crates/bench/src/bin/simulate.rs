@@ -8,7 +8,7 @@
 //!          [--intra 128] [--inter 16] [--flit 16]
 //!          [--scale tiny|small|paper] [--seed N]
 //!          [--pool-window N] [--trim-granularity 4|8|16]
-//!          [--jobs N] [--threads N] [--cache-dir DIR]
+//!          [--jobs N] [--cache-dir DIR]
 //!          [--checkpoint-at CYCLE] [--checkpoint-dir DIR]
 //!          [--restore-from FILE]
 //!          [--dump-metrics] [--csv FILE]
@@ -18,10 +18,8 @@
 //! ```
 //!
 //! `--variant all` sweeps every variant of the workload (in parallel
-//! with `--jobs N`) and prints a comparison table. `--threads N` runs
-//! each simulation's cluster domains on N worker threads under the
-//! conservative parallel scheduler — output stays byte-identical.
-//! `--cache-dir DIR` replays identical configurations from the
+//! with `--jobs N`) and prints a comparison table. `--cache-dir DIR`
+//! replays identical configurations from the
 //! persistent result cache instead of re-simulating.
 //!
 //! `--trace FILE` records a Chrome-trace JSON event trace (load it in
@@ -31,14 +29,18 @@
 //! `--sample-window`-cycle buckets. Both force a fresh (uncached) run and
 //! are ignored by `--variant all`.
 //!
-//! `--checkpoint-at CYCLE` pauses the simulation at the first epoch
-//! barrier at or after CYCLE and snapshots the full engine state;
+//! `--checkpoint-at CYCLE` pauses the simulation at CYCLE (earlier if
+//! the run finishes first) and snapshots the full engine state;
 //! `--checkpoint-dir DIR` persists the snapshot there (and lets plain
 //! runs warm-start from the longest cached prefix automatically).
 //! `--restore-from FILE` resumes from a specific snapshot file instead.
 //! Checkpoint → restore → continue is byte-identical to an
 //! uninterrupted run — metrics, traces and time series alike.
+//!
+//! Unknown flags, missing values and unparsable values exit 2 with the
+//! usage text; `--help` prints it and exits 0.
 
+use netcrafter_bench::cli::Cli;
 use netcrafter_bench::{f2, pct, stats_report, Runner, Table, TraceArgs};
 use netcrafter_multigpu::{CheckpointPlan, SystemVariant};
 use netcrafter_proto::{SystemConfig, TopologyConfig};
@@ -70,109 +72,123 @@ const ALL_VARIANTS: [SystemVariant; 8] = [
     SystemVariant::SectorCache,
 ];
 
+static CLI: Cli = Cli {
+    usage: "usage: simulate [--workload NAME] [--variant V|all] [--cus N] \
+            [--topology mesh:CxG|fat-tree:k=K[:g=G][:cores=N]|torus:XxYxZ[:g=G]] [--clusters N] \
+            [--gpus-per-cluster N] [--intra GBPS] [--inter GBPS] [--flit BYTES] \
+            [--scale tiny|small|paper] [--seed N] [--pool-window N] \
+            [--trim-granularity N] [--jobs N] [--cache-dir DIR] \
+            [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
+            [--dump-metrics] [--csv FILE] \
+            [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
+            [--legacy-scheduler]\n\
+            workloads: GUPS MT MIS IM2COL ATAX BS MM2 MVT SPMV PR SR SYR2K VGG16 LENET RNET18\n\
+            variants: baseline ideal netcrafter stitch trim seq sector stitchtrim all",
+    values: &[
+        "--workload",
+        "--variant",
+        "--cus",
+        "--topology",
+        "--clusters",
+        "--gpus-per-cluster",
+        "--intra",
+        "--inter",
+        "--flit",
+        "--scale",
+        "--seed",
+        "--pool-window",
+        "--trim-granularity",
+        "--jobs",
+        "--cache-dir",
+        "--checkpoint-at",
+        "--checkpoint-dir",
+        "--restore-from",
+        "--csv",
+        "--trace",
+        "--timeseries",
+        "--trace-filter",
+        "--sample-window",
+    ],
+    switches: &["--dump-metrics", "--legacy-scheduler"],
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = CLI.from_env();
+    if let Some(extra) = args.positional.first() {
+        args.fail(&format!("unexpected argument {extra:?}"));
+    }
     // Scheduler selection must precede any engine construction; the
     // metrics are identical either way (CI enforces it), so this only
     // trades host speed for a simpler tick loop.
-    if args.iter().any(|a| a == "--legacy-scheduler") {
+    if args.has("--legacy-scheduler") {
         netcrafter_sim::set_default_scheduler(netcrafter_sim::SchedulerMode::Legacy);
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let usage = || -> ! {
-        eprintln!(
-            "usage: simulate [--workload NAME] [--variant V|all] [--cus N] \
-             [--topology mesh:CxG|fat-tree:k=K[:g=G][:cores=N]|torus:XxYxZ[:g=G]] [--clusters N] \
-             [--gpus-per-cluster N] [--intra GBPS] [--inter GBPS] [--flit BYTES] \
-             [--scale tiny|small|paper] [--seed N] [--pool-window N] \
-             [--trim-granularity N] [--jobs N] [--threads N] [--cache-dir DIR] \
-             [--checkpoint-at CYCLE] [--checkpoint-dir DIR] [--restore-from FILE] \
-             [--dump-metrics] \
-             [--trace FILE] [--timeseries FILE] [--trace-filter SPEC] [--sample-window N] \
-             [--legacy-scheduler]\n\
-             workloads: {:?}\n\
-             variants: baseline ideal netcrafter stitch trim seq sector stitchtrim all",
-            Workload::ALL.map(Workload::abbrev)
-        );
-        std::process::exit(2);
-    };
 
-    let workload_name = get("--workload").unwrap_or_else(|| "GUPS".into());
+    let workload_name = args.value("--workload").unwrap_or("GUPS");
     let workload = Workload::ALL
         .into_iter()
-        .find(|w| w.abbrev().eq_ignore_ascii_case(&workload_name))
-        .unwrap_or_else(|| usage());
-    let variant_name = get("--variant").unwrap_or_else(|| "baseline".into());
+        .find(|w| w.abbrev().eq_ignore_ascii_case(workload_name))
+        .unwrap_or_else(|| args.fail(&format!("unknown workload {workload_name:?}")));
+    let variant_name = args.value("--variant").unwrap_or("baseline");
     let sweep_all = variant_name.eq_ignore_ascii_case("all");
     let variant = if sweep_all {
         SystemVariant::Baseline
     } else {
-        parse_variant(&variant_name).unwrap_or_else(|| usage())
+        parse_variant(variant_name)
+            .unwrap_or_else(|| args.fail(&format!("unknown variant {variant_name:?}")))
     };
 
-    let mut cfg = SystemConfig::small(get("--cus").and_then(|v| v.parse().ok()).unwrap_or(8));
+    let mut cfg = SystemConfig::small(args.parsed("--cus").unwrap_or(8));
     // --topology replaces the whole fabric shape first; the individual
     // knobs below still override its fields afterwards.
-    if let Some(spec) = get("--topology") {
-        cfg.topology = TopologyConfig::parse_spec(&spec).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+    if let Some(spec) = args.value("--topology") {
+        cfg.topology = TopologyConfig::parse_spec(spec).unwrap_or_else(|e| args.fail(&e));
     }
-    if let Some(v) = get("--clusters") {
-        cfg.topology.clusters = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = args.parsed("--clusters") {
+        cfg.topology.clusters = v;
     }
-    if let Some(v) = get("--gpus-per-cluster") {
-        cfg.topology.gpus_per_cluster = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = args.parsed("--gpus-per-cluster") {
+        cfg.topology.gpus_per_cluster = v;
     }
-    if let Some(v) = get("--intra") {
-        cfg.topology.intra_gbps = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = args.parsed("--intra") {
+        cfg.topology.intra_gbps = v;
     }
-    if let Some(v) = get("--inter") {
-        cfg.topology.inter_gbps = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = args.parsed("--inter") {
+        cfg.topology.inter_gbps = v;
     }
-    if let Some(v) = get("--flit") {
-        cfg.flit_bytes = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = args.parsed("--flit") {
+        cfg.flit_bytes = v;
     }
-    if let Some(v) = get("--pool-window") {
-        cfg.netcrafter.pooling_window = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = args.parsed("--pool-window") {
+        cfg.netcrafter.pooling_window = v;
     }
-    if let Some(v) = get("--trim-granularity") {
-        cfg.trim_granularity = v.parse().unwrap_or_else(|_| usage());
+    if let Some(v) = args.parsed("--trim-granularity") {
+        cfg.trim_granularity = v;
     }
-    let scale = match get("--scale").as_deref() {
+    let scale = match args.value("--scale") {
         None | Some("small") => Scale::small(),
         Some("tiny") => Scale::tiny(),
         Some("paper") => Scale::paper(),
-        Some(_) => usage(),
+        Some(other) => args.fail(&format!("unknown scale {other:?}")),
     };
 
     let mut runner = Runner::with_base(cfg, scale);
-    runner.seed = get("--seed")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0xC0FFEE);
+    runner.seed = args.parsed("--seed").unwrap_or(0xC0FFEE);
     runner.max_cycles = 1_000_000_000;
-    runner = runner.with_jobs(get("--jobs").and_then(|v| v.parse().ok()).unwrap_or(1));
-    runner = runner.with_threads(get("--threads").and_then(|v| v.parse().ok()).unwrap_or(1));
-    if let Some(dir) = get("--cache-dir") {
-        runner = runner.with_cache_dir(&dir).unwrap_or_else(|e| {
+    runner = runner.with_jobs(args.parsed("--jobs").unwrap_or(1));
+    if let Some(dir) = args.value("--cache-dir") {
+        runner = runner.with_cache_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open cache dir {dir}: {e}");
             std::process::exit(1);
         });
     }
-    let checkpoint_at: Option<u64> =
-        get("--checkpoint-at").map(|v| v.parse().unwrap_or_else(|_| usage()));
-    let restore_path = get("--restore-from");
+    let checkpoint_at: Option<u64> = args.parsed("--checkpoint-at");
+    let restore_path = args.value("--restore-from");
     if let Some(at) = checkpoint_at {
         runner = runner.with_checkpoint_at(at);
     }
-    if let Some(dir) = get("--checkpoint-dir") {
-        runner = runner.with_checkpoint_dir(&dir).unwrap_or_else(|e| {
+    if let Some(dir) = args.value("--checkpoint-dir") {
+        runner = runner.with_checkpoint_dir(dir).unwrap_or_else(|e| {
             eprintln!("cannot open checkpoint dir {dir}: {e}");
             std::process::exit(1);
         });
@@ -221,10 +237,7 @@ fn main() {
         return;
     }
 
-    let trace_args = TraceArgs::parse(&args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
+    let trace_args = TraceArgs::parse(&args).unwrap_or_else(|e| args.fail(&e));
 
     eprintln!(
         "simulating {workload} / {} on {} clusters x {} GPUs x {} CUs …",
@@ -238,7 +251,7 @@ fn main() {
         // both must actually simulate, not replay the result cache.
         let plan = CheckpointPlan {
             checkpoint_at,
-            restore_from: restore_path.as_ref().map(|path| {
+            restore_from: restore_path.map(|path| {
                 std::fs::read(path).unwrap_or_else(|e| {
                     eprintln!("cannot read snapshot {path}: {e}");
                     std::process::exit(1);
@@ -344,11 +357,11 @@ fn main() {
     );
     eprint!("{}", stats_report(&runner.job_stats()));
 
-    if args.iter().any(|a| a == "--dump-metrics") {
+    if args.has("--dump-metrics") {
         println!("\n--- all metrics ---\n{}", r.metrics);
     }
-    if let Some(path) = get("--csv") {
-        std::fs::write(&path, r.metrics.to_csv()).unwrap_or_else(|e| {
+    if let Some(path) = args.value("--csv") {
+        std::fs::write(path, r.metrics.to_csv()).unwrap_or_else(|e| {
             eprintln!("cannot write {path}: {e}");
             std::process::exit(1);
         });

@@ -7,6 +7,7 @@
 //! * [`figures`] — one generator per paper artifact (`table1`, `fig3` …
 //!   `fig22`, `table3`), each returning a [`Table`] whose rows match the
 //!   series the paper plots.
+//! * [`cli`] — the strict flag parser every binary declares its flags in.
 //!
 //! The `figures` binary drives this library from the command line:
 //!
@@ -21,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cli;
 pub mod figures;
 pub mod microbench;
 pub mod traceio;
@@ -325,11 +327,6 @@ pub struct Runner {
     pub verbose: bool,
     /// Worker threads used by [`Runner::sweep`].
     pub jobs: usize,
-    /// Worker threads *inside* each simulation (the engine's conservative
-    /// parallel scheduler); 1 runs sequentially. Orthogonal to `jobs`,
-    /// which parallelizes across simulations. Excluded from cache keys:
-    /// results are bit-identical at any thread count.
-    pub threads: usize,
     /// Group sweep jobs by [`JobSpec::prefix_key`] and execute each
     /// group's warmup window once, forking the paused state in memory to
     /// every member (the default). `false` runs every job from cycle 0 —
@@ -366,7 +363,6 @@ impl Runner {
             max_cycles: 300_000_000,
             verbose: false,
             jobs: 1,
-            threads: 1,
             prefix_share: true,
             memo: Mutex::new(HashMap::new()),
             disk: None,
@@ -388,12 +384,6 @@ impl Runner {
     /// as 1).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Sets the per-simulation worker-thread count (0 is treated as 1).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -453,7 +443,6 @@ impl Runner {
             scale: self.scale,
             seed: self.seed,
             max_cycles: self.max_cycles,
-            threads: self.threads,
             tag: tag.to_owned(),
         }
     }

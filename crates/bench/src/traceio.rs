@@ -1,13 +1,17 @@
 //! Shared CLI plumbing for the binaries' observability flags:
 //! `--trace FILE`, `--timeseries FILE`, `--trace-filter SPEC` and
-//! `--sample-window N` parse into a [`TraceArgs`], which turns into the
+//! `--sample-window N` (declared by each binary's [`Cli`]) parse into a
+//! [`TraceArgs`], which turns into the
 //! [`TraceOptions`] handed to [`Experiment::run_traced`] and writes the
 //! recorded data to disk.
 //!
+//! [`Cli`]: crate::cli::Cli
 //! [`Experiment::run_traced`]: netcrafter_multigpu::Experiment::run_traced
 
 use netcrafter_multigpu::{TraceData, TraceOptions};
 use netcrafter_sim::TraceConfig;
+
+use crate::cli::Args;
 
 /// Default time-series bucket width when `--sample-window` is absent.
 pub const DEFAULT_SAMPLE_WINDOW: u64 = 1000;
@@ -25,42 +29,27 @@ pub struct TraceArgs {
     pub sample_window: Option<u64>,
 }
 
-/// The flags that take a value (so argument scanners can skip it).
-pub const TRACE_VALUE_FLAGS: [&str; 4] = [
-    "--trace",
-    "--timeseries",
-    "--trace-filter",
-    "--sample-window",
-];
-
 impl TraceArgs {
-    /// Extracts the observability flags from a raw argument list.
+    /// Extracts the observability flags from a parsed command line,
+    /// whose [`Cli`](crate::cli::Cli) must declare all four as value
+    /// flags.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message when a flag's value is missing or
-    /// unparsable.
-    pub fn parse(args: &[String]) -> Result<TraceArgs, String> {
-        let get = |flag: &str| -> Result<Option<String>, String> {
-            match args.iter().position(|a| a == flag) {
-                None => Ok(None),
-                Some(i) => args
-                    .get(i + 1)
-                    .cloned()
-                    .map(Some)
-                    .ok_or_else(|| format!("{flag} expects a value")),
-            }
-        };
-        let sample_window = match get("--sample-window")? {
+    /// Returns a human-readable message when `--sample-window` is not a
+    /// positive cycle count.
+    pub fn parse(args: &Args) -> Result<TraceArgs, String> {
+        let get = |flag: &str| args.value(flag).map(str::to_owned);
+        let sample_window = match args.value("--sample-window") {
             None => None,
             Some(v) => Some(v.parse::<u64>().ok().filter(|w| *w > 0).ok_or_else(|| {
                 format!("--sample-window expects a positive cycle count, got {v:?}")
             })?),
         };
         Ok(TraceArgs {
-            trace_path: get("--trace")?,
-            timeseries_path: get("--timeseries")?,
-            filter: get("--trace-filter")?,
+            trace_path: get("--trace"),
+            timeseries_path: get("--timeseries"),
+            filter: get("--trace-filter"),
             sample_window,
         })
     }
@@ -122,9 +111,21 @@ impl TraceArgs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cli::Cli;
 
-    fn argv(s: &[&str]) -> Vec<String> {
-        s.iter().map(ToString::to_string).collect()
+    static CLI: Cli = Cli {
+        usage: "",
+        values: &[
+            "--trace",
+            "--timeseries",
+            "--trace-filter",
+            "--sample-window",
+        ],
+        switches: &["--quick"],
+    };
+
+    fn argv(s: &[&str]) -> Args {
+        CLI.parse(s.iter().map(ToString::to_string)).unwrap()
     }
 
     #[test]
@@ -168,8 +169,7 @@ mod tests {
     }
 
     #[test]
-    fn rejects_missing_value_and_bad_window() {
-        assert!(TraceArgs::parse(&argv(&["--trace"])).is_err());
+    fn rejects_bad_window() {
         assert!(TraceArgs::parse(&argv(&["--sample-window", "0"])).is_err());
         assert!(TraceArgs::parse(&argv(&["--sample-window", "x"])).is_err());
     }

@@ -141,17 +141,3 @@ fn forked_path_never_consumes_the_corrupt_store() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
-
-#[test]
-fn prefix_sharing_composes_with_pdes_threads() {
-    // `--threads` parallelism inside each job must not perturb forked
-    // results (snapshots are scheduler-portable and PDES is bit-exact).
-    let reference = cold_reference();
-    let mut r = Runner::quick().with_jobs(2).with_threads(2);
-    r.base_cfg.netcrafter.warmup_cycles = WARMUP;
-    let results = r.sweep(&jobs_for(&r));
-    for (got, want) in results.iter().zip(&reference) {
-        assert_eq!(&got.to_kv(), want, "threaded forked run must match cold");
-    }
-    assert!(r.prefix_stats().forked_jobs >= 1);
-}

@@ -196,7 +196,7 @@ impl ClusterQueue {
         ALL_PACKET_KINDS[qi].is_ptw()
     }
 
-    /// Partition of a flit: its leading chunk's packet type.
+    /// The queue partition a flit belongs to: its leading chunk's packet type.
     #[inline]
     fn partition_of(flit: &Flit) -> usize {
         flit.chunks[0].kind.index()

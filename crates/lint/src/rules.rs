@@ -39,8 +39,9 @@ pub const TRACED_ENTRY_POINTS: &[&str] = &[
 
 /// Type names that provide interior mutability: a non-`const` `static`
 /// holding one of these is ambient mutable state, which component code
-/// could reach without going through the engine — invisible to domain
-/// partitioning and racy under [`ParallelEventDriven`] workers.
+/// could reach without going through the engine — shared by every
+/// engine in the process, so concurrent simulations on sweep worker
+/// threads (`Runner::sweep --jobs`) would leak state into each other.
 pub const INTERIOR_MUTABLE_TYPES: &[&str] = &[
     "AtomicBool",
     "AtomicI8",
@@ -167,8 +168,8 @@ pub const RULES: &[Rule] = &[
         name: "no-ambient-state",
         summary: "static mut, thread_local! and statics with interior \
                   mutability banned in sim-facing crates; ambient state \
-                  bypasses the engine and silently breaks domain \
-                  partitioning under the parallel scheduler",
+                  bypasses the engine and is shared by the concurrent \
+                  simulations of sweep worker threads",
         crates: Some(SIM_CRATES),
         check: Some(check_ambient_state),
     },
@@ -332,9 +333,9 @@ fn check_ambient_state(fi: &FileIndex, out: &mut Vec<(u32, String)>) {
         if ident_at(tokens, i) == Some("thread_local") && punct_at(tokens, i + 1, '!') {
             out.push((
                 tokens[i].line,
-                "thread_local! is ambient per-thread state: a component \
-                 migrated to a parallel-scheduler worker silently reads a \
-                 different instance — thread simulation state through the \
+                "thread_local! is ambient per-thread state: simulations \
+                 sharing a sweep worker thread silently share one \
+                 instance — thread simulation state through the \
                  component or the engine instead"
                     .to_string(),
             ));
@@ -352,7 +353,7 @@ fn check_ambient_state(fi: &FileIndex, out: &mut Vec<(u32, String)>) {
             out.push((
                 line,
                 "`static mut` is unsynchronized ambient state: any write \
-                 races under the parallel scheduler and breaks bit-exact \
+                 races across sweep worker threads and breaks bit-exact \
                  replay — own the state in a component"
                     .to_string(),
             ));
@@ -361,7 +362,7 @@ fn check_ambient_state(fi: &FileIndex, out: &mut Vec<(u32, String)>) {
         }
         // `static NAME: Type = init;` — scan the item for interior-
         // mutability types. The engine cannot see state that lives here,
-        // so domain partitioning cannot keep it deterministic.
+        // so neither snapshots nor per-engine isolation cover it.
         let mut j = i + 1;
         while j < tokens.len() && tokens[j].tok != Tok::Punct(';') {
             if let Some(id) = ident_at(tokens, j) {
@@ -371,8 +372,8 @@ fn check_ambient_state(fi: &FileIndex, out: &mut Vec<(u32, String)>) {
                         format!(
                             "non-const `static` holding {id}: interior \
                              mutability makes this ambient simulation state \
-                             that bypasses the engine and the domain \
-                             partition — own it in a component, or waive \
+                             that bypasses the engine and is shared by \
+                             every simulation — own it in a component, or waive \
                              with a justification if it never feeds \
                              simulation outcomes"
                         ),

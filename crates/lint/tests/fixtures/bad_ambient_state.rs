@@ -1,5 +1,5 @@
 //! Fixture: ambient mutable state in sim logic must fire
-//! no-ambient-state — the engine cannot partition state it cannot see.
+//! no-ambient-state — the engine cannot isolate state it cannot see.
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 

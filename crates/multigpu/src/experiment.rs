@@ -268,15 +268,6 @@ pub struct Experiment {
     pub seed: u64,
     /// Watchdog limit.
     pub max_cycles: u64,
-    /// Worker threads for the conservative parallel scheduler; 1 runs
-    /// sequentially. Results are bit-identical either way, so this is
-    /// host-side tuning, not a simulation input.
-    pub threads: usize,
-    /// Drive woken components through `tick_burst` (the default). `false`
-    /// forces the scalar tick + busy + next_wake dispatch; results are
-    /// bit-identical either way (the burst-vs-scalar equivalence suite
-    /// pins this), so like `threads` it is host-side tuning only.
-    pub burst: bool,
 }
 
 impl Experiment {
@@ -289,8 +280,6 @@ impl Experiment {
             scale: Scale::small(),
             seed: 0xC0FFEE,
             max_cycles: 80_000_000,
-            threads: 1,
-            burst: true,
         }
     }
 
@@ -304,8 +293,6 @@ impl Experiment {
             scale: Scale::tiny(),
             seed: 0xC0FFEE,
             max_cycles: 20_000_000,
-            threads: 1,
-            burst: true,
         }
     }
 
@@ -324,19 +311,6 @@ impl Experiment {
     /// Replaces the seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Replaces the worker-thread count (1 = sequential).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Toggles burst dispatch (`true` is the default; `false` selects the
-    /// scalar tick/busy/next_wake reference path).
-    pub fn with_burst_dispatch(mut self, on: bool) -> Self {
-        self.burst = on;
         self
     }
 
@@ -412,8 +386,6 @@ impl Experiment {
             .workload
             .generate(&self.scale, cfg.total_gpus(), self.seed);
         let mut sys = System::build(cfg, &kernel);
-        sys.set_threads(self.threads);
-        sys.engine.set_burst_dispatch(self.burst);
         sys.run_until(until);
         Ok(sys.fork_snapshot())
     }
@@ -436,8 +408,6 @@ impl Experiment {
                 sys.enable_link_sampling(window);
             }
         }
-        sys.set_threads(self.threads);
-        sys.engine.set_burst_dispatch(self.burst);
         if let Some(fork) = &plan.fork {
             // In-memory fork takes precedence over the persistent tier:
             // it is already resident and always at least as deep into the
@@ -634,11 +604,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Watchdog limit.
     pub max_cycles: u64,
-    /// Worker threads for the parallel scheduler. Deliberately excluded
-    /// from both [`JobSpec::memo_key`] and [`JobSpec::cache_key`]:
-    /// parallel execution is bit-identical to sequential, so results are
-    /// interchangeable across thread counts.
-    pub threads: usize,
     /// Display tag distinguishing sweep points of one variant (e.g.
     /// `"clusters4"`); empty for plain runs.
     pub tag: String,
@@ -654,7 +619,6 @@ impl JobSpec {
             scale: exp.scale,
             seed: exp.seed,
             max_cycles: exp.max_cycles,
-            threads: exp.threads,
             tag: tag.into(),
         }
     }
@@ -668,8 +632,6 @@ impl JobSpec {
             scale: self.scale,
             seed: self.seed,
             max_cycles: self.max_cycles,
-            threads: self.threads,
-            burst: true,
         }
     }
 

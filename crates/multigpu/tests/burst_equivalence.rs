@@ -1,68 +1,98 @@
-//! Burst-vs-scalar equivalence: dispatching woken components through
-//! `tick_burst` (the default since the batched hot path landed) must
-//! reproduce the scalar tick + busy + next_wake reference byte for byte
-//! — `Metrics`, chrome-trace JSON, and per-link time series — on the
-//! fig14 matrix and on a multi-hop fat-tree trace. Every natively
-//! ported component (Switch, Rdma, Dram, and the EgressPort/Cluster
-//! Queue machinery they drive) sits on these paths.
+//! Legacy-vs-event-driven equivalence: the production scheduler, which
+//! dispatches only woken components through `tick_burst`, must reproduce
+//! the Legacy referee, which calls the scalar `tick` on every component
+//! every cycle, byte for byte — `Metrics`, chrome-trace JSON, and
+//! per-link time series — on a slice of the fig14 matrix and on a
+//! multi-hop fat-tree trace. Every native `tick_burst` (switch, RDMA,
+//! DRAM, L2, GMMU, CU, and the EgressPort/Cluster Queue machinery they
+//! drive) is pinned here against its scalar reference.
+//!
+//! The event-driven side is the plain [`Experiment`] path (the default
+//! scheduler); the Legacy side builds the same [`System`] and switches
+//! only its own engine, so no process-wide default is touched.
 
-use netcrafter_multigpu::{Experiment, RunResult, SystemVariant, TraceData, TraceOptions};
+use netcrafter_multigpu::{Experiment, RunResult, System, SystemVariant, TraceData, TraceOptions};
 use netcrafter_proto::SystemConfig;
-use netcrafter_sim::TraceConfig;
+use netcrafter_sim::{SchedulerMode, TraceConfig};
 use netcrafter_workloads::{Scale, Workload};
 
-fn traced(exp: &Experiment) -> (RunResult, TraceData) {
-    let opts = TraceOptions {
+fn trace_opts() -> TraceOptions {
+    TraceOptions {
         config: Some(TraceConfig::default()),
         sample_window: Some(256),
-    };
-    exp.run_traced(&opts)
+    }
 }
 
-fn assert_identical(scalar: (RunResult, TraceData), burst: (RunResult, TraceData), what: &str) {
+/// Runs `exp` under the Legacy scheduler, recording what `opts` asks for
+/// exactly as [`Experiment::run_traced`] does.
+fn run_legacy(exp: &Experiment, opts: &TraceOptions) -> (RunResult, TraceData) {
+    let cfg = exp.variant.apply(exp.base_cfg);
+    let kernel = exp
+        .workload
+        .generate(&exp.scale, cfg.total_gpus(), exp.seed);
+    let mut sys = System::build(cfg, &kernel);
+    if let Some(config) = &opts.config {
+        sys.enable_tracing(config.clone());
+    }
+    if let Some(window) = opts.sample_window {
+        sys.enable_link_sampling(window);
+    }
+    sys.engine.set_scheduler(SchedulerMode::Legacy);
+    let exec_cycles = sys.run(exp.max_cycles);
+    let result = RunResult {
+        exec_cycles,
+        metrics: sys.harvest(),
+    };
+    let data = TraceData {
+        trace: sys.take_trace(),
+        links: sys.take_link_series(),
+    };
+    (result, data)
+}
+
+fn assert_identical(legacy: (RunResult, TraceData), event: (RunResult, TraceData), what: &str) {
     assert_eq!(
-        scalar.0.exec_cycles, burst.0.exec_cycles,
+        legacy.0.exec_cycles, event.0.exec_cycles,
         "{what}: cycle counts diverge"
     );
     assert_eq!(
-        scalar.0.metrics.to_kv(),
-        burst.0.metrics.to_kv(),
+        legacy.0.metrics.to_kv(),
+        event.0.metrics.to_kv(),
         "{what}: metrics diverge"
     );
     assert_eq!(
-        scalar.1.trace.to_chrome_json(),
-        burst.1.trace.to_chrome_json(),
+        legacy.1.trace.to_chrome_json(),
+        event.1.trace.to_chrome_json(),
         "{what}: chrome-trace JSON diverges"
     );
     assert_eq!(
-        scalar.1.links_to_jsonl(),
-        burst.1.links_to_jsonl(),
+        legacy.1.links_to_jsonl(),
+        event.1.links_to_jsonl(),
         "{what}: per-link time series diverge"
     );
 }
 
 #[test]
-fn burst_metrics_are_bit_identical_across_the_fig14_variants() {
+fn legacy_and_event_metrics_are_bit_identical_across_the_fig14_variants() {
     // A slice of the fig14 matrix: every NetCrafter mechanism
     // (stitching, pooling, sequencing, trimming) runs under both
-    // dispatch modes.
+    // schedulers.
     for variant in [
         SystemVariant::Baseline,
         SystemVariant::NetCrafter,
         SystemVariant::StitchOnly,
     ] {
         for workload in [Workload::Gups, Workload::Atax] {
-            let scalar = Experiment::quick(workload, variant)
-                .with_burst_dispatch(false)
-                .run();
-            let burst = Experiment::quick(workload, variant).run();
+            let exp = Experiment::quick(workload, variant);
+            let (legacy, _) = run_legacy(&exp, &TraceOptions::default());
+            let event = exp.run();
             assert_eq!(
-                scalar.exec_cycles, burst.exec_cycles,
+                legacy.exec_cycles, event.exec_cycles,
                 "{workload:?}/{variant:?}: cycle counts diverge"
             );
             assert_eq!(
-                scalar.metrics.to_kv(),
-                burst.metrics.to_kv(),
+                legacy.metrics.to_kv(),
+                event.metrics.to_kv(),
                 "{workload:?}/{variant:?}: metrics diverge"
             );
         }
@@ -70,15 +100,15 @@ fn burst_metrics_are_bit_identical_across_the_fig14_variants() {
 }
 
 #[test]
-fn burst_trace_and_timeseries_bytes_are_identical() {
+fn legacy_and_event_trace_and_timeseries_bytes_are_identical() {
     let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
-    let scalar = traced(&exp.clone().with_burst_dispatch(false));
-    let burst = traced(&exp);
-    assert_identical(scalar, burst, "fig14/gups");
+    let legacy = run_legacy(&exp, &trace_opts());
+    let event = exp.run_traced(&trace_opts());
+    assert_identical(legacy, event, "fig14/gups");
 }
 
 #[test]
-fn burst_matches_scalar_on_a_fat_tree_8_trace() {
+fn legacy_matches_event_on_a_fat_tree_8_trace() {
     // Multi-hop traffic through six switches: the Switch burst path (and
     // its fused status pass) carries every flit more than once.
     let mut cfg = SystemConfig::fat_tree_8();
@@ -87,19 +117,7 @@ fn burst_matches_scalar_on_a_fat_tree_8_trace() {
     let exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter)
         .with_base_cfg(cfg)
         .with_scale(scale);
-    let scalar = traced(&exp.clone().with_burst_dispatch(false));
-    let burst = traced(&exp);
-    assert_identical(scalar, burst, "fat-tree-8/gups");
-}
-
-#[test]
-fn burst_dispatch_composes_with_the_parallel_scheduler() {
-    // Worker domains inherit the engine's burst flag; scalar-parallel
-    // must equal burst-parallel must equal burst-sequential.
-    let exp = Experiment::quick(Workload::Mt, SystemVariant::NetCrafter);
-    let seq_burst = exp.clone().run();
-    let par_scalar = exp.clone().with_threads(4).with_burst_dispatch(false).run();
-    let par_burst = exp.with_threads(4).run();
-    assert_eq!(seq_burst.metrics.to_kv(), par_scalar.metrics.to_kv());
-    assert_eq!(seq_burst.metrics.to_kv(), par_burst.metrics.to_kv());
+    let legacy = run_legacy(&exp, &trace_opts());
+    let event = exp.run_traced(&trace_opts());
+    assert_identical(legacy, event, "fat-tree-8/gups");
 }

@@ -1,5 +1,5 @@
 //! Determinism of checkpoint/restore on real multi-GPU simulations:
-//! pausing at an epoch barrier, snapshotting, and continuing in a fresh
+//! pausing at a cycle boundary, snapshotting, and continuing in a fresh
 //! process image must be byte-identical to the uninterrupted run —
 //! `Metrics`, chrome-trace JSON, per-link time series and the engine
 //! state hash alike. ci.sh enforces the same contract end-to-end through
@@ -10,7 +10,7 @@ use netcrafter_multigpu::{
     CheckpointPlan, Experiment, System, SystemVariant, TraceData, TraceOptions,
 };
 use netcrafter_sim::snapshot::SnapshotError;
-use netcrafter_sim::TraceConfig;
+use netcrafter_sim::{SchedulerMode, TraceConfig};
 use netcrafter_workloads::Workload;
 
 fn experiment() -> Experiment {
@@ -86,7 +86,7 @@ fn checkpoint_restore_continue_is_bit_identical() {
 }
 
 #[test]
-fn snapshot_is_portable_to_the_parallel_scheduler() {
+fn snapshot_is_portable_to_the_legacy_scheduler() {
     let (cold, _, mid) = reference();
     let take = CheckpointPlan {
         checkpoint_at: Some(mid),
@@ -94,24 +94,18 @@ fn snapshot_is_portable_to_the_parallel_scheduler() {
         fork_at: None,
         fork: None,
     };
-    // Snapshot under the sequential event-driven scheduler …
+    // Snapshot under the event-driven scheduler …
     let ckpt = experiment().run_checkpointed(&take).expect("no restore");
     let (_, bytes) = ckpt.snapshot.expect("checkpoint requested");
-    // … and continue under 4 conservative-parallel domain workers: the
+    // … and continue under the Legacy tick-everything scheduler: the
     // snapshot excludes scheduler-derived state by design.
-    let restore = CheckpointPlan {
-        checkpoint_at: None,
-        restore_from: Some(bytes),
-        fork_at: None,
-        fork: None,
-    };
-    let warm = experiment()
-        .with_threads(4)
-        .run_checkpointed(&restore)
-        .expect("snapshot restores under the parallel scheduler");
-    assert_eq!(warm.resumed_at, mid);
-    assert_eq!(cold.exec_cycles, warm.result.exec_cycles);
-    assert_eq!(cold.metrics.to_kv(), warm.result.metrics.to_kv());
+    let mut sys = build_system();
+    sys.restore(&bytes).expect("snapshot restores");
+    assert_eq!(sys.engine.cycle(), mid);
+    sys.engine.set_scheduler(SchedulerMode::Legacy);
+    let exec_cycles = sys.run(experiment().max_cycles);
+    assert_eq!(cold.exec_cycles, exec_cycles);
+    assert_eq!(cold.metrics.to_kv(), sys.harvest().to_kv());
 }
 
 /// Builds the system an [`experiment`] run simulates, without running it.

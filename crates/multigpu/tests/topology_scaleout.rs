@@ -5,6 +5,7 @@
 
 use netcrafter_multigpu::{Experiment, RunResult, System, SystemVariant};
 use netcrafter_proto::{SystemConfig, TopologyConfig};
+use netcrafter_sim::SchedulerMode;
 use netcrafter_workloads::{Scale, Workload};
 
 /// Quick-scale compute on a scale-out preset: 2 CUs per GPU, with the
@@ -65,44 +66,48 @@ fn scale_out_fabrics_complete_and_conserve_flits() {
     }
 }
 
-/// Deterministic multi-hop routing: the conservative parallel scheduler
-/// (one domain per cluster *and* per switch) must reproduce the
-/// sequential run bit for bit on every fabric, including with the
-/// per-switch NetCrafter controllers enabled.
+/// Deterministic multi-hop routing: the event-driven scheduler must
+/// reproduce the Legacy tick-everything referee bit for bit on every
+/// fabric, including with the per-switch NetCrafter controllers enabled.
 #[test]
 fn scale_out_runs_are_bit_identical_across_schedulers() {
     for (name, cfg) in fabrics() {
         for variant in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
-            let seq = scale_out(cfg, Workload::Gups, variant).run();
-            let par = scale_out(cfg, Workload::Gups, variant)
-                .with_threads(4)
-                .run();
+            let exp = scale_out(cfg, Workload::Gups, variant);
+            let event = exp.run();
+            let mut sys = build(&exp);
+            sys.engine.set_scheduler(SchedulerMode::Legacy);
+            let legacy_cycles = sys.run(exp.max_cycles);
             assert_eq!(
-                seq.exec_cycles, par.exec_cycles,
+                legacy_cycles, event.exec_cycles,
                 "{name}/{variant:?}: cycle counts diverge"
             );
             assert_eq!(
-                seq.metrics.to_kv(),
-                par.metrics.to_kv(),
+                sys.harvest().to_kv(),
+                event.metrics.to_kv(),
                 "{name}/{variant:?}: metrics diverge"
             );
         }
     }
 }
 
-/// Builds the system a NetCrafter fat-tree-8 experiment simulates,
-/// without running it.
-fn build_fat_tree_system() -> System {
-    let exp = scale_out(
-        SystemConfig::fat_tree_8(),
-        Workload::Gups,
-        SystemVariant::NetCrafter,
-    );
+/// Builds the system `exp` simulates, without running it.
+fn build(exp: &Experiment) -> System {
     let cfg = exp.variant.apply(exp.base_cfg);
     let kernel = exp
         .workload
         .generate(&exp.scale, cfg.total_gpus(), exp.seed);
     System::build(cfg, &kernel)
+}
+
+/// Builds the system a NetCrafter fat-tree-8 experiment simulates,
+/// without running it.
+fn build_fat_tree_system() -> System {
+    build(&scale_out(
+        SystemConfig::fat_tree_8(),
+        Workload::Gups,
+        SystemVariant::NetCrafter,
+    ))
 }
 
 /// Snapshot round-trip with per-switch controller state: a fat-tree has

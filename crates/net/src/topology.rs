@@ -242,32 +242,6 @@ impl Topology {
         (0..self.clusters).map(ClusterId)
     }
 
-    /// Minimum cycle latency over every link in the graph — the
-    /// conservative global lower bound. The parallel partition prefers
-    /// the per-domain-pair latencies (see
-    /// [`Self::min_latency_between_switches`]); this remains as the
-    /// floor for anything that needs a single scalar.
-    pub fn min_cross_link_latency(&self) -> Cycle {
-        self.switches
-            .iter()
-            .flat_map(|s| s.links.iter().map(|l| l.latency))
-            .min()
-            .unwrap_or(WIRE_LATENCY)
-            .min(WIRE_LATENCY)
-    }
-
-    /// Minimum latency of any direct link between two switches, if they
-    /// are adjacent.
-    pub fn min_latency_between_switches(&self, a: usize, b: usize) -> Option<Cycle> {
-        let bn = self.switches[b].node;
-        self.switches[a]
-            .links
-            .iter()
-            .filter(|l| l.peer == bn)
-            .map(|l| l.latency)
-            .min()
-    }
-
     /// The sequence of switch nodes a flit from `src` to `dst` traverses,
     /// following the static route tables. Both endpoints are GPUs; the
     /// returned path excludes them. Panics if the tables loop.
@@ -869,10 +843,13 @@ mod tests {
     fn per_pair_latencies_are_heterogeneous() {
         let t = Topology::new(&cfg(4, 2, FabricConfig::FatTree { cores: 2 }));
         assert_eq!(t.fabric_latency(), 4);
-        assert_eq!(t.min_cross_link_latency(), 1); // GPU wires
-        assert_eq!(t.min_latency_between_switches(0, 4), Some(4));
-        assert_eq!(t.min_latency_between_switches(0, 1), None); // not adjacent
+        for spec in t.switch_specs() {
+            for link in &spec.links {
+                let want = if link.is_inter { 4 } else { WIRE_LATENCY };
+                assert_eq!(link.latency, want, "{link:?}");
+            }
+        }
         let mesh = frontier();
-        assert_eq!(mesh.min_latency_between_switches(0, 1), Some(1));
+        assert_eq!(mesh.fabric_latency(), 1);
     }
 }

@@ -147,8 +147,8 @@ pub struct TopologyConfig {
     /// How the cluster switches are wired together.
     pub fabric: FabricConfig,
     /// Wire latency in cycles of every switch↔switch fabric link. The
-    /// paper-baseline mesh uses 1; the scale-out presets use 4 so the
-    /// per-link lookahead heterogeneity is real.
+    /// paper-baseline mesh uses 1; the scale-out presets use 4, so
+    /// fabric hops are slower than the 1-cycle GPU wires.
     pub fabric_link_cycles: u32,
 }
 

@@ -70,18 +70,15 @@ impl Wake {
     }
 }
 
-/// Which scheduler drives [`Engine::step`].
+/// Which scheduler drives [`Engine::step`]. The two are bit-identical:
+/// Legacy is the equivalence referee for the event-driven scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerMode {
     /// Tick every component every cycle (the reference model).
     Legacy,
-    /// Tick only woken components; fast-forward idle cycles.
+    /// Tick only woken components, via [`Component::tick_burst`];
+    /// fast-forward idle cycles. The production scheduler.
     EventDriven,
-    /// Event-driven semantics, but [`Engine::run_to_quiescence`] executes
-    /// the partition's domains on worker threads under a conservative
-    /// epoch barrier (see [`Engine::set_parallel`] and DESIGN.md §3.3).
-    /// Identical to [`SchedulerMode::EventDriven`] for single stepping.
-    ParallelEventDriven,
 }
 
 /// Process-wide default scheduler for newly built engines (set by the
@@ -105,7 +102,7 @@ pub fn default_scheduler() -> SchedulerMode {
 }
 
 /// Sentinel for "no scheduled wake" in the armed-cycle table.
-pub(crate) const NEVER: Cycle = Cycle::MAX;
+const NEVER: Cycle = Cycle::MAX;
 
 /// What one [`Component::tick_burst`] reports back to the scheduler: the
 /// component's busy flag and its next wake, computed in the same virtual
@@ -130,9 +127,8 @@ pub struct BurstOutcome {
 /// message arrives or its [`Component::next_wake`] comes due; the default
 /// (`EveryCycle`) preserves the tick-always behaviour.
 ///
-/// Components are `Send` so domains of them can execute on worker threads
-/// under [`SchedulerMode::ParallelEventDriven`]; they are never shared
-/// (each domain owns its components), so `Sync` is not required.
+/// Components are `Send` so a whole engine can move to a sweep worker
+/// thread; each engine owns its components, so `Sync` is not required.
 pub trait Component: std::any::Any + Send {
     /// Advances the component by one cycle.
     fn tick(&mut self, ctx: &mut Ctx<'_>);
@@ -160,15 +156,15 @@ pub trait Component: std::any::Any + Send {
 
     /// Burst entry point: performs this cycle's work (draining the whole
     /// mailbox burst) *and* reports the post-tick busy flag and next wake
-    /// in one virtual call. The scheduler dispatches this instead of the
-    /// `tick`/`busy`/`next_wake` triple whenever burst dispatch is on
-    /// (the default — see [`Engine::set_burst_dispatch`]).
+    /// in one virtual call. The event-driven scheduler dispatches this;
+    /// [`SchedulerMode::Legacy`] calls the scalar [`Component::tick`]
+    /// every cycle instead.
     ///
     /// The default wraps [`Component::tick`], so existing components work
     /// unchanged. An override must be observably identical to the scalar
     /// triple — same state changes, sends, trace events, and the exact
     /// values `busy()` / `next_wake()` would return — which the
-    /// burst-vs-scalar equivalence suite checks byte for byte.
+    /// Legacy-vs-event-driven equivalence suite checks byte for byte.
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
         BurstOutcome {
@@ -206,12 +202,12 @@ pub trait Component: std::any::Any + Send {
 /// receive, so a delivery never copies the full [`Message`] through the
 /// wheel.
 pub struct Ctx<'a> {
-    pub(crate) cycle: Cycle,
-    pub(crate) inbox: &'a mut VecDeque<Handle>,
-    pub(crate) outbox: &'a mut Vec<(Cycle, ComponentId, Handle)>,
-    pub(crate) arena: &'a mut Arena<Message>,
-    pub(crate) self_id: ComponentId,
-    pub(crate) tracer: &'a mut Tracer,
+    cycle: Cycle,
+    inbox: &'a mut VecDeque<Handle>,
+    outbox: &'a mut Vec<(Cycle, ComponentId, Handle)>,
+    arena: &'a mut Arena<Message>,
+    self_id: ComponentId,
+    tracer: &'a mut Tracer,
 }
 
 impl Ctx<'_> {
@@ -351,7 +347,6 @@ impl EngineBuilder {
             in_flight: 0,
             delivered: 0,
             outbox: Vec::new(),
-            trace: None,
             tracer: Tracer::off(),
             mode: default_scheduler(),
             // Every component gets a first tick on cycle 1 and re-arms
@@ -368,47 +363,33 @@ impl EngineBuilder {
             dirty_flags: vec![false; n],
             slot_scratch: Vec::new(),
             overflow_scratch: Vec::new(),
-            burst: true,
-            parallel: None,
         }
     }
 }
 
 /// Delay-wheel size: delays below this are O(1); longer delays take the
 /// (rare) overflow path.
-pub(crate) const WHEEL_SLOTS: usize = 512;
-
-/// One recorded message delivery (see [`Engine::enable_trace`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Delivery cycle.
-    pub cycle: Cycle,
-    /// Receiving component.
-    pub dst: ComponentId,
-    /// Message kind label (`"flit"`, `"mem-req"`, …).
-    pub kind: &'static str,
-}
+const WHEEL_SLOTS: usize = 512;
 
 /// The simulation engine: owns all components and mailboxes and advances
 /// simulated time.
 pub struct Engine {
-    pub(crate) components: Vec<Box<dyn Component>>,
-    pub(crate) inboxes: Vec<VecDeque<Handle>>,
+    components: Vec<Box<dyn Component>>,
+    inboxes: Vec<VecDeque<Handle>>,
     /// Backing store for every in-flight and mailboxed message payload;
     /// the wheel, inboxes and outbox move 8-byte handles instead.
-    pub(crate) msgs: Arena<Message>,
+    msgs: Arena<Message>,
     /// Ring buffer of future deliveries indexed by `cycle % WHEEL_SLOTS`.
-    pub(crate) wheel: Vec<Vec<(ComponentId, Handle)>>,
+    wheel: Vec<Vec<(ComponentId, Handle)>>,
     /// Deliveries further than `WHEEL_SLOTS` cycles out (rare).
-    pub(crate) overflow: Vec<(Cycle, ComponentId, Handle)>,
+    overflow: Vec<(Cycle, ComponentId, Handle)>,
     /// Earliest delivery cycle in `overflow` (`NEVER` when empty).
-    pub(crate) overflow_min: Cycle,
-    pub(crate) cycle: Cycle,
-    pub(crate) in_flight: usize,
-    pub(crate) delivered: u64,
+    overflow_min: Cycle,
+    cycle: Cycle,
+    in_flight: usize,
+    delivered: u64,
     outbox: Vec<(Cycle, ComponentId, Handle)>,
-    pub(crate) trace: Option<(VecDeque<TraceEvent>, usize)>,
-    pub(crate) tracer: Tracer,
+    tracer: Tracer,
     mode: SchedulerMode,
     /// Next cycle each component must tick (`NEVER` = waiting on a
     /// message). Only meaningful under the event-driven scheduler.
@@ -428,9 +409,9 @@ pub struct Engine {
     woken: Vec<usize>,
     /// Cached `busy()` per component, maintained incrementally after each
     /// tick so quiescence needs no O(n) rescan.
-    pub(crate) busy_flags: Vec<bool>,
+    busy_flags: Vec<bool>,
     /// Number of `true` entries in `busy_flags`.
-    pub(crate) busy_count: usize,
+    busy_count: usize,
     /// Components handed out via `get_mut`/`component_mut` since the last
     /// step: external code may have changed their state behind the
     /// scheduler's back, so their cached busy flag is suspect and they
@@ -444,14 +425,6 @@ pub struct Engine {
     /// Persistent buffer for the (stable, order-preserving) overflow
     /// refill — `swap_remove` would scramble same-cycle delivery order.
     overflow_scratch: Vec<(Cycle, ComponentId, Handle)>,
-    /// Dispatch [`Component::tick_burst`] (one virtual call per woken
-    /// component) instead of the scalar `tick`/`busy`/`next_wake` triple.
-    /// On by default; the equivalence suite flips it off to pin the two
-    /// paths against each other.
-    pub(crate) burst: bool,
-    /// Domain partition + worker count for
-    /// [`SchedulerMode::ParallelEventDriven`] (see [`Engine::set_parallel`]).
-    pub(crate) parallel: Option<crate::parallel::ParallelConfig>,
 }
 
 impl Engine {
@@ -484,10 +457,20 @@ impl Engine {
 
     /// Switches scheduler mid-flight: re-arms every component for the
     /// next cycle and refreshes the busy cache, so no wake derived under
-    /// the previous mode is trusted.
+    /// the previous mode is trusted. Always bit-exact: ticking an idle
+    /// component is observable-effect-free by the [`Component::next_wake`]
+    /// contract (the Legacy scheduler ticks everything every cycle and
+    /// must agree).
     pub fn set_scheduler(&mut self, mode: SchedulerMode) {
         self.mode = mode;
-        self.rearm_all_at(self.cycle + 1);
+        self.wake_heap.clear();
+        self.active.clear();
+        self.every_count = 0;
+        self.every.fill(false);
+        self.armed.fill(NEVER);
+        for i in 0..self.components.len() {
+            self.arm(i, self.cycle + 1);
+        }
         self.busy_count = 0;
         for (i, c) in self.components.iter().enumerate() {
             let b = c.busy();
@@ -498,72 +481,6 @@ impl Engine {
             self.dirty_flags[i] = false;
         }
         self.dirty.clear();
-    }
-
-    /// Discards every derived wake and schedules a fresh tick for every
-    /// component at `next`. Always bit-exact: ticking an idle component
-    /// is observable-effect-free by the [`Component::next_wake`] contract
-    /// (the Legacy scheduler ticks everything every cycle and must agree).
-    pub(crate) fn rearm_all_at(&mut self, next: Cycle) {
-        self.wake_heap.clear();
-        self.active.clear();
-        self.every_count = 0;
-        for f in &mut self.every {
-            *f = false;
-        }
-        for a in &mut self.armed {
-            *a = NEVER;
-        }
-        for i in 0..self.components.len() {
-            self.arm(i, next);
-        }
-    }
-
-    /// Installs the domain partition and worker-thread count used by
-    /// [`SchedulerMode::ParallelEventDriven`], and switches to that mode.
-    /// With `threads <= 1` (or a single domain) execution stays on the
-    /// calling thread and is plain event-driven.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partition does not cover exactly this engine's
-    /// components (see [`crate::parallel::Partition::new`] for the
-    /// domain-density and lookahead requirements).
-    pub fn set_parallel(&mut self, partition: crate::parallel::Partition, threads: usize) {
-        assert_eq!(
-            partition.domain_of.len(),
-            self.components.len(),
-            "partition must assign a domain to every component"
-        );
-        self.parallel = Some(crate::parallel::ParallelConfig { partition, threads });
-        self.set_scheduler(SchedulerMode::ParallelEventDriven);
-    }
-
-    /// Starts recording the last `capacity` message deliveries — the
-    /// standard first tool for debugging a stuck or misrouted
-    /// transaction. Costs one ring-buffer push per delivery.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some((VecDeque::with_capacity(capacity), capacity.max(1)));
-    }
-
-    /// The recorded deliveries, oldest first (empty unless
-    /// [`Engine::enable_trace`] was called).
-    pub fn trace(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
-        self.trace.iter().flat_map(|(buf, _)| buf.iter())
-    }
-
-    /// Renders the recorded trace with component names, oldest first.
-    pub fn dump_trace(&self) -> Vec<String> {
-        self.trace()
-            .map(|e| {
-                format!(
-                    "cycle {:>8}: {:<10} -> {}",
-                    e.cycle,
-                    e.kind,
-                    self.components[e.dst.0].name()
-                )
-            })
-            .collect()
     }
 
     /// Turns on structured-event tracing with the given filter. One track
@@ -591,20 +508,6 @@ impl Engine {
         self.tracer.take()
     }
 
-    #[inline]
-    fn record(&mut self, dst: ComponentId, kind: &'static str) {
-        if let Some((buf, cap)) = self.trace.as_mut() {
-            if buf.len() == *cap {
-                buf.pop_front();
-            }
-            buf.push_back(TraceEvent {
-                cycle: self.cycle,
-                dst,
-                kind,
-            });
-        }
-    }
-
     /// Injects a message from outside the simulation (e.g. a kernel-launch
     /// trigger), delivered at `cycle + delay`.
     pub fn inject(&mut self, dst: ComponentId, msg: Message, delay: u64) {
@@ -622,15 +525,6 @@ impl Engine {
             self.overflow_min = self.overflow_min.min(when);
             self.overflow.push((when, dst, h));
         }
-    }
-
-    /// Chooses between burst dispatch (one [`Component::tick_burst`] call
-    /// per woken component — the default) and the scalar
-    /// `tick`/`busy`/`next_wake` triple. Both are bit-identical by
-    /// contract; the toggle exists so the equivalence suite can pin every
-    /// native `tick_burst` against its scalar reference.
-    pub fn set_burst_dispatch(&mut self, on: bool) {
-        self.burst = on;
     }
 
     /// Schedules component `id` to tick at `when` (keeping any earlier
@@ -668,7 +562,7 @@ impl Engine {
 
     /// Re-syncs the busy cache for externally mutated components (they
     /// were armed for a tick by `mark_dirty`).
-    pub(crate) fn flush_dirty(&mut self) {
+    fn flush_dirty(&mut self) {
         if self.dirty.is_empty() {
             return;
         }
@@ -723,9 +617,6 @@ impl Engine {
         self.cycle += 1;
         self.flush_dirty();
         let event_mode = self.mode != SchedulerMode::Legacy;
-        // Hoisted so the per-delivery cost is a plain push when the
-        // delivery ring is off (the common case).
-        let tracing = self.trace.is_some();
 
         // Deliver messages due this cycle. The slot vector and the
         // persistent scratch buffer trade places (and capacities), so the
@@ -738,10 +629,6 @@ impl Engine {
         self.in_flight -= due.len();
         self.delivered += due.len() as u64;
         for (dst, h) in due.drain(..) {
-            if tracing {
-                let kind = self.msgs.get(h).label();
-                self.record(dst, kind);
-            }
             if event_mode {
                 self.arm(dst.0, self.cycle);
             }
@@ -765,10 +652,6 @@ impl Engine {
                     if when == self.cycle {
                         self.in_flight -= 1;
                         self.delivered += 1;
-                        if tracing {
-                            let kind = self.msgs.get(h).label();
-                            self.record(dst, kind);
-                        }
                         if event_mode {
                             self.arm(dst.0, self.cycle);
                         }
@@ -826,15 +709,8 @@ impl Engine {
                 woken.sort_unstable();
                 woken.dedup();
             }
-            let burst = self.burst;
             for &i in &woken {
-                let wake = if burst {
-                    self.tick_one_burst(i)
-                } else {
-                    self.tick_one(i);
-                    self.components[i].next_wake(self.cycle)
-                };
-                match wake {
+                match self.tick_one_burst(i) {
                     Wake::EveryCycle => {
                         if !self.every[i] {
                             self.every[i] = true;
@@ -869,7 +745,8 @@ impl Engine {
         self.outbox = staged;
     }
 
-    /// Ticks component `i` and folds its new busy state into the cache.
+    /// Ticks component `i` through the scalar [`Component::tick`] (the
+    /// Legacy reference path) and folds its new busy state into the cache.
     #[inline]
     fn tick_one(&mut self, i: usize) {
         self.tracer.focus(i as u32);
@@ -975,24 +852,6 @@ impl Engine {
     /// Panics if the cycle limit is hit while work remains — a livelocked
     /// simulation is always a modelling bug and must not pass silently.
     pub fn run_to_quiescence(&mut self, max_cycles: Cycle) -> Cycle {
-        if self.mode == SchedulerMode::ParallelEventDriven {
-            if let Some(cfg) = self.parallel.take() {
-                let worth_it = cfg.threads > 1 && cfg.partition.domains > 1;
-                let end = if worth_it {
-                    crate::parallel::run_parallel(self, &cfg, max_cycles)
-                } else {
-                    self.run_sequential(max_cycles)
-                };
-                self.parallel = Some(cfg);
-                return end;
-            }
-        }
-        self.run_sequential(max_cycles)
-    }
-
-    /// The sequential body of [`Engine::run_to_quiescence`] (also used by
-    /// the parallel path when the partition or thread count degenerates).
-    fn run_sequential(&mut self, max_cycles: Cycle) -> Cycle {
         let limit = self.cycle + max_cycles;
         while !self.quiescent() {
             assert!(
@@ -1062,10 +921,9 @@ impl Engine {
 
     // ---- checkpoint / restore ----
 
-    /// Runs (event-driven, sequentially) until the clock reaches `target`
-    /// or the system quiesces, whichever comes first. Every cycle boundary
-    /// reached this way is a global epoch barrier, so the paused state is
-    /// a valid checkpoint under all scheduler modes (DESIGN.md §3.4).
+    /// Runs until the clock reaches `target` or the system quiesces,
+    /// whichever comes first. Every cycle boundary is a valid checkpoint
+    /// under both scheduler modes (DESIGN.md §3.4).
     pub fn run_until(&mut self, target: Cycle) -> Cycle {
         if target <= self.cycle {
             return self.cycle;
@@ -1523,32 +1381,6 @@ mod tests {
         let end = e.run_while(10_000, |e| e.cycle() < 50);
         assert_eq!(end, 50);
         assert!(!e.quiescent(), "heartbeat keeps a message in flight");
-    }
-
-    #[test]
-    fn trace_records_recent_deliveries() {
-        let mut b = EngineBuilder::new();
-        let a = b.add(Box::new(Echo {
-            peer: ComponentId(0),
-            delay: 1,
-            received: vec![],
-            bounces_left: 0,
-        }));
-        let mut e = b.build();
-        e.enable_trace(2);
-        for _ in 0..5 {
-            e.inject(a, credit(1), 1);
-            e.step();
-        }
-        let events: Vec<_> = e.trace().collect();
-        assert_eq!(events.len(), 2, "ring buffer keeps only the last 2");
-        assert!(events.iter().all(|ev| ev.kind == "credit"));
-        assert!(events[0].cycle < events[1].cycle);
-        let dump = e.dump_trace();
-        assert!(
-            dump[0].contains("credit") && dump[0].contains("echo"),
-            "{dump:?}"
-        );
     }
 
     #[test]

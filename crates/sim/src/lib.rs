@@ -25,7 +25,6 @@
 
 pub mod arena;
 pub mod engine;
-pub mod parallel;
 pub mod snapshot;
 pub mod timing;
 pub mod trace;
@@ -33,9 +32,8 @@ pub mod trace;
 pub use arena::{Arena, Handle};
 pub use engine::{
     default_scheduler, set_default_scheduler, BurstOutcome, Component, ComponentId, Ctx, Engine,
-    EngineBuilder, SchedulerMode, TraceEvent, Wake,
+    EngineBuilder, SchedulerMode, Wake,
 };
-pub use parallel::Partition;
 pub use snapshot::{
     read_header, write_header, ForkSnapshot, Snap, SnapshotError, SnapshotReader, SnapshotWriter,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

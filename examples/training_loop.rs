@@ -4,8 +4,8 @@
 //! and the per-step gradient exchange keeps the inter-cluster links busy,
 //! so NetCrafter's benefit persists across steps.
 //!
-//! Also demonstrates the engine's message tracer: the last deliveries of
-//! the run are dumped at the end.
+//! Also demonstrates the structured event tracer: a filter keeps only the
+//! switches' flit events, and the last of them are printed at the end.
 //!
 //! ```text
 //! cargo run --release --example training_loop
@@ -13,9 +13,13 @@
 
 use netcrafter::multigpu::{System, SystemVariant};
 use netcrafter::proto::SystemConfig;
+use netcrafter::sim::TraceConfig;
 use netcrafter::workloads::{Scale, Workload};
 
 const STEPS: usize = 4;
+
+/// How many of the run's final flit events to print.
+const LAST_EVENTS: usize = 12;
 
 fn run(variant: SystemVariant, trace: bool) -> (u64, Vec<(String, u64)>, Vec<String>) {
     let cfg = variant.apply(SystemConfig::small(8));
@@ -30,14 +34,20 @@ fn run(variant: SystemVariant, trace: bool) -> (u64, Vec<(String, u64)>, Vec<Str
         .collect();
     let mut sys = System::build_multi(cfg, &kernels);
     if trace {
-        sys.engine.enable_trace(12);
+        sys.enable_tracing(TraceConfig::parse("comp=switch; class=flit").expect("valid filter"));
     }
     let total = sys.run_all(50_000_000);
-    let dump = if trace {
-        sys.engine.dump_trace()
-    } else {
-        Vec::new()
-    };
+    let trace = sys.take_trace();
+    let last = &trace.events[trace.events.len().saturating_sub(LAST_EVENTS)..];
+    let dump = last
+        .iter()
+        .map(|e| {
+            format!(
+                "cycle {:>8}: {:<8} {:<10} packet {:>6}, {:>2} bytes",
+                e.cycle, e.name, trace.tracks[e.track as usize], e.id, e.value
+            )
+        })
+        .collect();
     (total, sys.kernel_cycles.clone(), dump)
 }
 
@@ -62,7 +72,7 @@ fn main() {
     );
 
     println!(
-        "\nlast {} message deliveries of the NetCrafter run:",
+        "\nlast {} switch flit events of the NetCrafter run:",
         trace.len()
     );
     for line in trace {
