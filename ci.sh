@@ -16,6 +16,8 @@
 #   ./ci.sh sweep       # prefix-sharing sweeps: cold vs shared byte
 #                       # diff under both schedulers, sweep perf
 #                       # gate (hit ratio), wall-clock speedup floor
+#   ./ci.sh paper       # paper-scale golden check: exec cycles of eight
+#                       # fig14 cells vs ci/paper_golden.txt
 #   ./ci.sh all         # everything (default)
 #
 # Artifacts (fig14 trace + time series, checkpoint snapshot, fresh bench
@@ -27,9 +29,9 @@ cd "$(dirname "$0")"
 
 mode=${1:-all}
 case "$mode" in
-    lint | build-test | figures | topology | sweep | all) ;;
+    lint | build-test | figures | topology | sweep | paper | all) ;;
     *)
-        echo "usage: ./ci.sh [lint|build-test|figures|topology|sweep|all]" >&2
+        echo "usage: ./ci.sh [lint|build-test|figures|topology|sweep|paper|all]" >&2
         exit 2
         ;;
 esac
@@ -474,6 +476,27 @@ step_topology_perf_gate() {
         check ci/BENCH_topology.baseline.json "$artifact_dir/BENCH_topology.json"
 }
 
+# The committed baselines above pin tiny and quick scale; this pins the
+# regime the paper's evaluation runs in. Each cell's full metrics dump is
+# kept as an artifact so a mismatch can be attributed.
+step_paper_golden() {
+    local dumps="$artifact_dir/paper-golden" got="" workload variant cycles
+    mkdir -p "$dumps"
+    for workload in GUPS SPMV PR MT; do
+        for variant in baseline netcrafter; do
+            cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
+                --workload "$workload" --variant "$variant" --scale paper \
+                --dump-metrics >"$dumps/$workload-$variant.txt"
+            cycles=$(awk -F': *' '/^execution cycles/ {print $2}' "$dumps/$workload-$variant.txt")
+            got+="$workload $variant $cycles"$'\n'
+        done
+    done
+    if ! diff <(grep -v '^#' ci/paper_golden.txt) <(printf '%s' "$got") >&2; then
+        echo "FAIL: paper-scale execution cycles differ from ci/paper_golden.txt" >&2
+        exit 1
+    fi
+}
+
 if [[ "$mode" == lint || "$mode" == all ]]; then
     run_step "cargo fmt --check" step_fmt
     run_step "cargo clippy --workspace --all-targets -- -D warnings + curated pedantic subset" step_clippy
@@ -507,6 +530,10 @@ if [[ "$mode" == sweep || "$mode" == all ]]; then
     run_step "sweep equivalence: cold vs prefix-shared fig14, event-driven and --legacy-scheduler" step_sweep_equivalence
     run_step "perf-regression gate: sweep matrix + prefix-hit ratio vs committed baseline" step_sweep_perf_gate
     run_step "sweep speedup: prefix-sharing wall-clock floor" step_sweep_speedup
+fi
+
+if [[ "$mode" == paper || "$mode" == all ]]; then
+    run_step "paper-scale golden check: exec cycles of eight fig14 cells" step_paper_golden
 fi
 
 echo "CI OK ($mode)"

@@ -242,7 +242,7 @@ pub struct PrefixStats {
     pub groups: usize,
     /// Representative runs that captured a shared fork in flight
     /// (≤ `groups`; a representative that produced no fork — e.g. it
-    /// warm-started past the warmup cycle — leaves its group mates cold
+    /// warm-started past the pause cycle — leaves its group mates cold
     /// and still counts a group).
     pub prefix_runs: usize,
     /// Wall-clock of the fork-capturing representative runs (full runs,
@@ -471,7 +471,7 @@ impl Runner {
 
     /// [`Runner::run_job`] with the sweep tree's two fork roles: when
     /// `fork` is `Some`, a fresh simulation restores it and resumes from
-    /// the warmup cycle instead of stepping from 0; when `fork_at` is
+    /// the prefix pause cycle instead of stepping from 0; when `fork_at` is
     /// `Some` (a group representative), the simulation pauses there,
     /// captures an in-memory fork for its group mates — returned
     /// alongside the result — and continues. Memo and disk lookups are
@@ -607,8 +607,9 @@ impl Runner {
     /// 2. Jobs that will not replay from disk are grouped by
     ///    [`JobSpec::prefix_key`]; each group of two or more becomes an
     ///    internal tree node whose *representative* (the group's first
-    ///    job in canonical order) runs from cycle 0, pauses at the warmup
-    ///    cycle to capture an in-memory [`ForkSnapshot`], and continues
+    ///    job in canonical order) runs from cycle 0, pauses at
+    ///    [`JobSpec::prefix_pause_cycle`] (the last cycle before its knobs
+    ///    act) to capture an in-memory [`ForkSnapshot`], and continues
     ///    to completion. The other members restore the fork — no cycle of
     ///    the shared warmup window is ever simulated twice.
     /// 3. A deque of ready tasks is drained by [`Runner::jobs`] workers;
@@ -721,7 +722,7 @@ impl Runner {
                 Task::Rep(g) => {
                     let rep = pending[groups[g][0]];
                     let t0 = Instant::now();
-                    let (_, fork) = self.run_job_forked(rep, None, Some(rep.warmup_cycles()));
+                    let (_, fork) = self.run_job_forked(rep, None, Some(rep.prefix_pause_cycle()));
                     if fork.is_some() {
                         let mut prefix = self.prefix.lock().unwrap();
                         prefix.prefix_runs += 1;
@@ -729,7 +730,7 @@ impl Runner {
                     } else if self.verbose {
                         // Legitimate, not an error: e.g. the representative
                         // warm-started from a disk checkpoint past the
-                        // warmup cycle. The members simply run cold.
+                        // pause cycle. The members simply run cold.
                         eprintln!(
                             "  no fork captured for {} group; members run cold",
                             rep.memo_key()

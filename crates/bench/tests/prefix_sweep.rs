@@ -141,3 +141,37 @@ fn forked_path_never_consumes_the_corrupt_store() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn prefix_shared_sweep_matches_cold_sweep_byte_for_byte() {
+    // DataPrio joins StitchOnly's FullLine-fill group, whose
+    // representative (StitchOnly, first in canonical order) forks the
+    // shared prefix for it; Baseline never groups and runs cold. The
+    // fork must hold no cycle of StitchOnly's own policy, which only a
+    // comparison of every metric (not just exec cycles) is sure to see.
+    const WINDOW: u64 = 2_000;
+    let variants = [
+        SystemVariant::Baseline,
+        SystemVariant::StitchOnly,
+        SystemVariant::DataPrio,
+    ];
+    let sweep = |share: bool| -> (Vec<String>, Runner) {
+        let mut r = Runner::quick().with_jobs(2).with_prefix_share(share);
+        r.base_cfg.netcrafter.warmup_cycles = WINDOW;
+        let jobs: Vec<JobSpec> = variants.iter().map(|&v| r.job(Workload::Atax, v)).collect();
+        let kv = r.sweep(&jobs).iter().map(|x| x.to_kv()).collect();
+        (kv, r)
+    };
+    let (cold, _) = sweep(false);
+    let (shared, r) = sweep(true);
+    let stats = r.job_stats();
+    let data_prio = stats
+        .iter()
+        .find(|s| s.memo_key.contains("DataPrio"))
+        .expect("DataPrio ran");
+    assert_eq!(data_prio.source, JobSource::Forked);
+    assert_eq!(data_prio.resumed_at, WINDOW - 1);
+    for ((got, want), v) in shared.iter().zip(&cold).zip(variants) {
+        assert_eq!(got, want, "{v:?}: prefix-shared result differs from cold");
+    }
+}

@@ -373,8 +373,8 @@ impl Experiment {
     /// Every job whose configuration is warmup-equivalent to this one
     /// (same [`JobSpec::prefix_key`]) can restore the fork via
     /// [`CheckpointPlan::fork`] and continue byte-identically to its own
-    /// cold run, because no policy knob has acted before `until` when
-    /// `until <= warmup_cycles`.
+    /// cold run, because no policy knob has acted by `until` when
+    /// `until < warmup_cycles` (see [`JobSpec::prefix_pause_cycle`]).
     ///
     /// # Errors
     ///
@@ -694,10 +694,20 @@ impl JobSpec {
         ))
     }
 
-    /// The variant-applied warmup cycle — the pause point of this job's
-    /// shared prefix when [`JobSpec::prefix_key`] is `Some`.
+    /// The variant-applied warmup cycle: the first cycle at which this
+    /// job's policy knobs act.
     pub fn warmup_cycles(&self) -> u64 {
         self.variant.apply(self.base_cfg).netcrafter.warmup_cycles
+    }
+
+    /// The cycle this job's shared prefix pauses at when
+    /// [`JobSpec::prefix_key`] is `Some`: the last cycle before the warmup
+    /// window ends. Running to cycle `c` ticks cycle `c` itself, and the
+    /// knobs act from `warmup_cycles` on, so a prefix paused at
+    /// `warmup_cycles` would already carry one cycle of the
+    /// representative's own policy. 0 when there is no window.
+    pub fn prefix_pause_cycle(&self) -> u64 {
+        self.warmup_cycles().saturating_sub(1)
     }
 }
 
@@ -839,6 +849,7 @@ mod tests {
         let nc = JobSpec::new(exp.clone(), "");
         let key = nc.prefix_key().expect("warmup window set");
         assert_eq!(nc.warmup_cycles(), 500);
+        assert_eq!(nc.prefix_pause_cycle(), 499);
 
         // Policy variants on the same ClusterQueue roster + fill policy
         // share the prefix with full NetCrafter.
@@ -894,8 +905,8 @@ mod tests {
         // byte-for-byte (exec cycles and every metric).
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         exp.base_cfg.netcrafter.warmup_cycles = 400;
-        let fork = exp.run_prefix(400).expect("prefix run is infallible");
-        assert!(fork.cycle() <= 400);
+        let fork = exp.run_prefix(399).expect("prefix run is infallible");
+        assert!(fork.cycle() <= 399);
         assert!(!fork.bytes().is_empty());
 
         for variant in [SystemVariant::NetCrafter, SystemVariant::StitchTrim] {
@@ -921,8 +932,8 @@ mod tests {
 
     #[test]
     fn fork_at_captures_mid_run_without_perturbing_the_run() {
-        // A representative job pauses at the warmup cycle, forks, and
-        // continues. Its own result must match an uninterrupted run, and
+        // A representative job pauses just before the warmup cycle, forks,
+        // and continues. Its own result must match an uninterrupted run, and
         // the captured fork must be byte-identical to a standalone
         // prefix simulation's.
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
@@ -930,15 +941,15 @@ mod tests {
         let cold = exp.run();
         let plan = CheckpointPlan {
             checkpoint_at: None,
-            fork_at: Some(400),
+            fork_at: Some(399),
             restore_from: None,
             fork: None,
         };
         let run = exp.run_checkpointed(&plan).expect("nothing to restore");
         assert_eq!(run.result.exec_cycles, cold.exec_cycles);
         assert_eq!(run.result.metrics.to_kv(), cold.metrics.to_kv());
-        let fork = run.fork.expect("fork captured at cycle 400");
-        let standalone = exp.run_prefix(400).expect("prefix run");
+        let fork = run.fork.expect("fork captured at cycle 399");
+        let standalone = exp.run_prefix(399).expect("prefix run");
         assert_eq!(fork.cycle(), standalone.cycle());
         assert_eq!(fork.state_hash(), standalone.state_hash());
         assert_eq!(fork.bytes(), standalone.bytes());
@@ -954,7 +965,7 @@ mod tests {
             fork: Some(fork),
         };
         let warm = member.run_checkpointed(&restore).expect("fork restores");
-        assert_eq!(warm.resumed_at, 400);
+        assert_eq!(warm.resumed_at, 399);
         assert_eq!(warm.result.exec_cycles, member_cold.exec_cycles);
         assert_eq!(warm.result.metrics.to_kv(), member_cold.metrics.to_kv());
     }
@@ -963,7 +974,7 @@ mod tests {
     fn fork_takes_precedence_over_disk_restore() {
         let mut exp = Experiment::quick(Workload::Gups, SystemVariant::NetCrafter);
         exp.base_cfg.netcrafter.warmup_cycles = 400;
-        let fork = exp.run_prefix(400).expect("prefix run");
+        let fork = exp.run_prefix(399).expect("prefix run");
         let plan = CheckpointPlan {
             checkpoint_at: None,
             fork_at: None,

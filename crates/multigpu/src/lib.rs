@@ -22,10 +22,12 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod experiment;
+mod invariants;
 pub mod system;
 
 pub use experiment::{
     CheckpointPlan, CheckpointedRun, Experiment, JobSpec, RunResult, SystemVariant, TraceData,
     TraceOptions,
 };
+pub use invariants::check_counter_invariants;
 pub use system::{LinkSeries, System};

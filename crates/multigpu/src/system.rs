@@ -19,6 +19,8 @@ use netcrafter_sim::snapshot::{
 use netcrafter_sim::{ComponentId, Cycle, Engine, EngineBuilder, Trace, TraceConfig};
 use netcrafter_vm::{TranslationUnit, TranslationWiring};
 
+use crate::invariants::check_counter_invariants;
+
 /// One sampled egress link: a human-readable label plus its time series.
 #[derive(Debug)]
 pub struct LinkSeries {
@@ -587,6 +589,11 @@ impl System {
             (cycles as f64 * inter_fpc * inter_weight) as u64,
         );
         m.set("net.inter.flit_bytes", self.cfg.flit_bytes as u64);
+        if cfg!(debug_assertions) && self.engine.quiescent() {
+            if let Err(violations) = check_counter_invariants(&m) {
+                panic!("end-of-run counter invariants violated:\n{violations}");
+            }
+        }
         m
     }
 }

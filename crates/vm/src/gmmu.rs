@@ -55,6 +55,10 @@ pub struct GmmuStats {
     pub walk_latency: LatencyStat,
     /// Walks that had to queue for a free walker.
     pub walker_queue_events: u64,
+    /// Requests that found the L2-TLB MSHR full on their first lookup and
+    /// had to wait in the retry queue (each counted once, however many
+    /// re-checks it took).
+    pub mshr_full: u64,
 }
 
 impl Snap for GmmuStats {
@@ -66,6 +70,7 @@ impl Snap for GmmuStats {
         self.remote_pt_reads.save(w);
         self.walk_latency.save(w);
         self.walker_queue_events.save(w);
+        self.mshr_full.save(w);
     }
     fn load(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
         Ok(GmmuStats {
@@ -76,6 +81,7 @@ impl Snap for GmmuStats {
             remote_pt_reads: Snap::load(r)?,
             walk_latency: Snap::load(r)?,
             walker_queue_events: Snap::load(r)?,
+            mshr_full: Snap::load(r)?,
         })
     }
 }
@@ -97,6 +103,7 @@ impl GmmuStats {
             &format!("{prefix}.walker_queue_events"),
             self.walker_queue_events,
         );
+        metrics.add(&format!("{prefix}.mshr_full"), self.mshr_full);
         metrics
             .latency_mut(&format!("{prefix}.walk_latency"))
             .merge(&self.walk_latency);
@@ -211,6 +218,11 @@ impl TranslationUnit {
         }
     }
 
+    /// Requests waiting in the retry queue for a free L2-TLB MSHR slot.
+    pub fn pending_retries(&self) -> usize {
+        self.retry.len()
+    }
+
     #[inline]
     fn pwc_key(level: u8, prefix: u64) -> u64 {
         ((level as u64) << 60) | prefix
@@ -316,8 +328,17 @@ impl TranslationUnit {
         }
     }
 
-    fn handle_lookup(&mut self, ctx: &mut Ctx<'_>, req: TransReq, now: Cycle) {
-        if let Some(pfn) = self.l2_tlb.lookup(req.vpn, now) {
+    /// Resolves `req` against the L2 TLB and the walk MSHR. Only a
+    /// request's first lookup (`retried == false`) counts an L2-TLB hit or
+    /// miss and an `mshr_full`; a re-check from the retry queue refreshes
+    /// LRU the same way but counts nothing.
+    fn handle_lookup(&mut self, ctx: &mut Ctx<'_>, req: TransReq, now: Cycle, retried: bool) {
+        let hit = if retried {
+            self.l2_tlb.relookup(req.vpn, now)
+        } else {
+            self.l2_tlb.lookup(req.vpn, now)
+        };
+        if let Some(pfn) = hit {
             self.respond(ctx, &req, pfn);
             return;
         }
@@ -326,7 +347,11 @@ impl TranslationUnit {
             return;
         }
         if self.waiters.len() >= self.waiter_cap {
-            self.retry.push_back(req); // TLB MSHR full: retry next cycle
+            // TLB MSHR full: re-checked once a walk completes.
+            if !retried {
+                self.stats.mshr_full += 1;
+            }
+            self.retry.push_back(req);
             return;
         }
         self.waiters.insert(req.vpn, vec![req]);
@@ -337,6 +362,7 @@ impl TranslationUnit {
 impl Component for TranslationUnit {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.cycle();
+        let mut walk_done = false;
         while let Some(msg) = ctx.recv() {
             match msg {
                 Message::TransReq(req) => {
@@ -355,19 +381,27 @@ impl Component for TranslationUnit {
                         self.issue_read(ctx, vpn);
                     } else {
                         self.complete_walk(ctx, vpn, now);
+                        walk_done = true;
                     }
                 }
                 other => panic!("{}: unexpected {}", self.name, other.label()),
             }
         }
 
-        // Retries (TLB-MSHR-full) get first claim on this cycle.
-        for _ in 0..self.retry.len() {
-            let req = self.retry.pop_front().expect("len checked");
-            self.handle_lookup(ctx, req, now);
+        // Retries (TLB-MSHR-full) get first claim on this cycle, but only
+        // when a walk completed: `complete_walk` is the one place that
+        // frees an MSHR slot or fills the TLB, so on any other cycle every
+        // retry would miss and re-queue in the same order. Gating here,
+        // not in the wake, keeps Legacy (which ticks every cycle) and the
+        // event-driven scheduler on the same passes.
+        if walk_done {
+            for _ in 0..self.retry.len() {
+                let req = self.retry.pop_front().expect("len checked");
+                self.handle_lookup(ctx, req, now, true);
+            }
         }
         while let Some(req) = self.tlb_pipe.pop_ready(now) {
-            self.handle_lookup(ctx, req, now);
+            self.handle_lookup(ctx, req, now, false);
         }
         while let Some(vpn) = self.pwc_pipe.pop_ready(now) {
             let start = self.pwc_start_level(vpn, now);
@@ -395,12 +429,9 @@ impl Component for TranslationUnit {
     }
 
     fn next_wake(&self, _now: Cycle) -> Wake {
-        // Retries get re-attempted every cycle; otherwise the next thing
-        // to happen locally is a pipeline completion. Active walks and
-        // queued walkers advance on PT-read response messages.
-        if !self.retry.is_empty() {
-            return Wake::EveryCycle;
-        }
+        // The next local event is a pipeline completion. Active walks,
+        // queued walkers and MSHR-full retries all advance only on a
+        // PT-read response message.
         let mut wake = Wake::OnMessage;
         if let Some(t) = self.tlb_pipe.next_ready() {
             wake = wake.earliest(Wake::At(t));
@@ -413,27 +444,10 @@ impl Component for TranslationUnit {
 
     fn tick_burst(&mut self, ctx: &mut Ctx<'_>) -> BurstOutcome {
         self.tick(ctx);
-        // One pass over the queue/pipe fields instead of the separate
-        // `busy` + `next_wake` traversals.
-        let busy = !self.tlb_pipe.is_empty()
-            || !self.pwc_pipe.is_empty()
-            || !self.retry.is_empty()
-            || !self.active.is_empty()
-            || !self.pending_walks.is_empty()
-            || !self.waiters.is_empty();
-        let wake = if !self.retry.is_empty() {
-            Wake::EveryCycle
-        } else {
-            let mut wake = Wake::OnMessage;
-            if let Some(t) = self.tlb_pipe.next_ready() {
-                wake = wake.earliest(Wake::At(t));
-            }
-            if let Some(t) = self.pwc_pipe.next_ready() {
-                wake = wake.earliest(Wake::At(t));
-            }
-            wake
-        };
-        BurstOutcome { busy, wake }
+        BurstOutcome {
+            busy: self.busy(),
+            wake: self.next_wake(ctx.cycle()),
+        }
     }
 
     fn save_state(&self, w: &mut SnapshotWriter) {
@@ -698,12 +712,30 @@ mod tests {
         for i in 0..6u64 {
             h.engine.inject(h.tu, treq(0x100 + i * (1 << 12)), 1);
         }
+        // Past the TLB and PWC latencies, four walks hold every MSHR slot
+        // and the last two requests wait in `retry`. Only a walk
+        // completion (a PT-read response) can change their outcome, so
+        // the unit sleeps on messages instead of polling every cycle.
+        h.engine.run_until(40);
+        {
+            let tu: &TranslationUnit = h.engine.get(h.tu).expect("tu");
+            assert_eq!(tu.pending_retries(), 2);
+            assert_eq!(tu.active.len(), 4);
+            assert!(tu.tlb_pipe.is_empty() && tu.pwc_pipe.is_empty());
+            assert!(tu.busy());
+            assert_eq!(tu.next_wake(40), Wake::OnMessage);
+        }
         h.engine.run_to_quiescence(50_000);
         assert_eq!(
             h.rsp.lock().unwrap().len(),
             6,
             "capped MSHR retries, never drops"
         );
+        // Each request counts one L2-TLB lookup, however long it retried.
+        let tu: &TranslationUnit = h.engine.get(h.tu).expect("tu");
+        assert_eq!(tu.stats.requests, 6);
+        assert_eq!(tu.stats.mshr_full, 2);
+        assert_eq!(tu.l2_tlb.stats.hits + tu.l2_tlb.stats.misses, 6);
     }
 
     #[test]

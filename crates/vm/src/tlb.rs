@@ -97,6 +97,14 @@ impl Tlb {
         }
     }
 
+    /// Repeats a lookup already counted for the same request: refreshes
+    /// LRU on a hit exactly as [`Tlb::lookup`] does, but records neither
+    /// a hit nor a miss, so each request is counted once however often
+    /// it is re-checked.
+    pub fn relookup(&mut self, vpn: u64, now: u64) -> Option<u64> {
+        self.entries.lookup(vpn, now).copied()
+    }
+
     /// Checks residency without counting a lookup or touching LRU.
     pub fn probe(&self, vpn: u64) -> Option<u64> {
         self.entries.peek(vpn).copied()
@@ -199,6 +207,20 @@ mod tests {
         let tlb = Tlb::new(&cfg);
         assert_eq!(tlb.lookup_cycles(), 10);
         assert!(tlb.is_empty());
+    }
+
+    #[test]
+    fn relookup_refreshes_lru_without_counting() {
+        let mut tlb = Tlb::new(&l1_cfg());
+        for vpn in 0..4 {
+            tlb.insert(vpn, vpn * 16, vpn);
+        }
+        assert_eq!(tlb.relookup(0, 10), Some(0)); // refresh vpn 0
+        assert_eq!(tlb.relookup(7, 10), None);
+        tlb.insert(9, 0x90, 11); // evicts vpn 1 (LRU), not vpn 0
+        assert_eq!(tlb.probe(0), Some(0));
+        assert_eq!(tlb.probe(1), None);
+        assert_eq!(tlb.stats.hits + tlb.stats.misses, 0);
     }
 
     #[test]
