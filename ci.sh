@@ -17,7 +17,8 @@
 #                       # diff under both schedulers, sweep perf
 #                       # gate (hit ratio), wall-clock speedup floor
 #   ./ci.sh paper       # paper-scale golden check: exec cycles of eight
-#                       # fig14 cells vs ci/paper_golden.txt
+#                       # fig14 cells vs ci/paper_golden.txt, plus
+#                       # event-vs-legacy byte diff of two paper cells
 #   ./ci.sh all         # everything (default)
 #
 # Artifacts (fig14 trace + time series, checkpoint snapshot, fresh bench
@@ -497,6 +498,40 @@ step_paper_golden() {
     fi
 }
 
+# The CU parks resource-stalled retries and replays the skipped attempts
+# at its next tick; at tiny scale the L1 MSHR never fills, so the replay
+# is pinned here at paper scale, where PR/NetCrafter's L1 stalls fire
+# it: metrics, event trace and time series must be byte-identical to
+# the Legacy referee, which makes every attempt for real.
+step_paper_scheduler_equivalence() {
+    local dir="$artifact_dir/paper-scheduler" workload variant sched
+    mkdir -p "$dir"
+    for cell in PR:netcrafter MT:baseline; do
+        workload=${cell%%:*}
+        variant=${cell##*:}
+        for sched in event legacy; do
+            local extra=()
+            if [[ "$sched" == legacy ]]; then
+                extra=(--legacy-scheduler)
+            fi
+            cargo run --release --offline -q -p netcrafter-bench --bin simulate -- \
+                --workload "$workload" --variant "$variant" --scale paper \
+                --dump-metrics "${extra[@]}" \
+                --trace "$dir/$workload-$variant-$sched.trace.json" \
+                --timeseries "$dir/$workload-$variant-$sched.ts.jsonl" \
+                >"$dir/$workload-$variant-$sched.txt"
+        done
+        for ext in txt trace.json ts.jsonl; do
+            if ! cmp -s "$dir/$workload-$variant-event.$ext" "$dir/$workload-$variant-legacy.$ext"; then
+                echo "FAIL: paper $workload/$variant $ext differs under --legacy-scheduler" >&2
+                cmp "$dir/$workload-$variant-event.$ext" "$dir/$workload-$variant-legacy.$ext" >&2 || true
+                exit 1
+            fi
+        done
+    done
+    rm -rf "$dir"
+}
+
 if [[ "$mode" == lint || "$mode" == all ]]; then
     run_step "cargo fmt --check" step_fmt
     run_step "cargo clippy --workspace --all-targets -- -D warnings + curated pedantic subset" step_clippy
@@ -534,6 +569,7 @@ fi
 
 if [[ "$mode" == paper || "$mode" == all ]]; then
     run_step "paper-scale golden check: exec cycles of eight fig14 cells" step_paper_golden
+    run_step "paper-scale scheduler equivalence: PR/NetCrafter, MT/Baseline vs --legacy-scheduler" step_paper_scheduler_equivalence
 fi
 
 echo "CI OK ($mode)"

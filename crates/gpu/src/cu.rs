@@ -464,14 +464,24 @@ impl Cu {
         };
     }
 
-    /// The earliest cycle at which ticking the CU can do more than
-    /// increment `idle_cycles` (which `tick` catches up arithmetically
-    /// from `last_tick`, so blocked cycles need no tick at all). A wave
-    /// that can issue — `Ready`, retrying, or a `BusyUntil` deadline
-    /// already due — needs every cycle; a pure compute phase sleeps
-    /// until its deadline; memory- and translation-blocked waves sleep
-    /// until a response message arrives. A non-empty pending queue only
-    /// matters while a resident slot is free — except in the degenerate
+    /// Wavefronts stalled in `RetryAccess` (outstanding cap or L1 MSHR).
+    pub fn retrying_waves(&self) -> usize {
+        self.resident
+            .iter()
+            .filter(|w| matches!(w.state, WfState::RetryAccess(..)))
+            .count()
+    }
+
+    /// The earliest cycle at which ticking the CU can do more than what
+    /// `tick` catches up arithmetically from `last_tick` (idle cycles and
+    /// stalled retries), so blocked cycles need no tick at all. A wave
+    /// that can issue — `Ready` or a `BusyUntil` deadline already due —
+    /// needs every cycle; a pure compute phase sleeps until its
+    /// deadline; memory- and translation-blocked waves, and waves
+    /// retrying an access the outstanding cap or the L1 MSHR refused,
+    /// sleep until a response message arrives (only a response frees
+    /// either resource). A non-empty pending queue only matters while a
+    /// resident slot is free — except in the degenerate
     /// all-retired-but-queue-nonempty state, where the legacy scheduler
     /// spins, so we must spin too.
     fn blocked_wake(&self, now: Cycle) -> Wake {
@@ -479,7 +489,7 @@ impl Cu {
         let mut active = false;
         for w in &self.resident {
             match w.state {
-                WfState::Ready | WfState::RetryAccess(..) => return Wake::EveryCycle,
+                WfState::Ready => return Wake::EveryCycle,
                 WfState::BusyUntil(t) => {
                     if t <= now {
                         return Wake::EveryCycle;
@@ -487,7 +497,9 @@ impl Cu {
                     wake = wake.earliest(Wake::At(t));
                     active = true;
                 }
-                WfState::WaitTranslation(_) | WfState::WaitMem => active = true,
+                WfState::WaitTranslation(_) | WfState::WaitMem | WfState::RetryAccess(..) => {
+                    active = true;
+                }
                 WfState::Done => {}
             }
         }
@@ -495,6 +507,37 @@ impl Cu {
             return Wake::EveryCycle;
         }
         wake
+    }
+
+    /// Replays the retries of the `skipped` cycles before `now` that the
+    /// scheduler slept through. No message arrived in that span, so the
+    /// outstanding count, the L1 tags and the MSHR are as the last tick
+    /// left them, and every retry of those cycles stalled exactly as the
+    /// next one would: on the outstanding cap with no side effect, or as
+    /// an L1 `Stall` that consumed an access id, refreshed its line's LRU
+    /// stamp and counted an MSHR stall.
+    fn replay_stalled_retries(&mut self, now: Cycle, skipped: u64) {
+        if self.outstanding >= self.max_outstanding {
+            return;
+        }
+        for w in &self.resident {
+            let WfState::RetryAccess(acc, pfn) = w.state else {
+                continue;
+            };
+            debug_assert!(
+                !acc.kind.is_write(),
+                "{}: a write retries only on the outstanding cap",
+                self.name
+            );
+            let line = PAddr(pfn * PAGE_BYTES + acc.vaddr.page_offset()).line();
+            debug_assert!(
+                self.l1.would_stall(line, acc.mask),
+                "{}: a parked retry of {line:?} would no longer stall",
+                self.name
+            );
+            self.ids = IdAlloc::with_issued(self.ids.issued() + skipped);
+            self.l1.replay_stalls(line, now - 1, skipped);
+        }
     }
 
     fn wake_read(&mut self, ctx: &mut Ctx<'_>, id: AccessId) {
@@ -523,14 +566,17 @@ impl Cu {
 impl Component for Cu {
     fn tick(&mut self, ctx: &mut Ctx<'_>) {
         let now = ctx.cycle();
-        // Catch up idle accounting for skipped cycles. `blocked_wake`
-        // only lets the scheduler skip spans where no wave can issue and
-        // no message arrives, and state is frozen between ticks — so the
-        // reference model would have spent every skipped cycle in the
+        // Catch up skipped cycles. `blocked_wake` only lets the scheduler
+        // skip spans where no wave can issue and no message arrives, and
+        // state is frozen between ticks — so the reference model would
+        // have spent every skipped cycle stalling its retries and in the
         // `!issued && busy` branch below, exactly when `was_busy` holds.
         let skipped = now.saturating_sub(self.last_tick + 1);
-        if skipped > 0 && self.was_busy {
-            self.stats.idle_cycles += skipped;
+        if skipped > 0 {
+            if self.was_busy {
+                self.stats.idle_cycles += skipped;
+            }
+            self.replay_stalled_retries(now, skipped);
         }
         self.activate_pending();
 
@@ -650,7 +696,7 @@ impl Component for Cu {
         // `load_waves` (which re-ticks it via the engine's
         // external-mutation tracking); a blocked CU sleeps until its
         // earliest wave deadline, with `tick` catching up the skipped
-        // idle cycles arithmetically.
+        // idle cycles and stalled retries arithmetically.
         self.blocked_wake(now)
     }
 
@@ -785,8 +831,19 @@ mod tests {
     }
 
     fn harness(waves: Vec<WavefrontTrace>, pfn_base: u64) -> H {
+        harness_with(waves, pfn_base, |_| {})
+    }
+
+    /// The harness with `tune` applied to the CU's configuration, e.g. to
+    /// shrink the outstanding cap or the L1 MSHR.
+    fn harness_with(
+        waves: Vec<WavefrontTrace>,
+        pfn_base: u64,
+        tune: impl FnOnce(&mut SystemConfig),
+    ) -> H {
         let mut cfg = SystemConfig::small(1);
         cfg.max_waves_per_cu = 4;
+        tune(&mut cfg);
         let mut b = EngineBuilder::new();
         let cu_id = b.reserve(); // must be ComponentId(0): Backend replies there
         let be = b.reserve();
@@ -934,5 +991,165 @@ mod tests {
         let mut h = harness(waves, 0);
         h.engine.run_to_quiescence(100_000);
         assert!(h.reqs.lock().unwrap().len() >= 10);
+    }
+
+    fn cu(h: &H) -> &Cu {
+        h.engine.get(h.cu).expect("cu installed")
+    }
+
+    /// Steps `h` until the CU's only unfinished waves are retrying, and
+    /// returns that cycle.
+    fn run_until_only_retrying(h: &mut H) -> Cycle {
+        loop {
+            assert!(!h.engine.quiescent(), "no wave ever stalled");
+            h.engine.step();
+            let cu = cu(h);
+            let unfinished = cu
+                .resident
+                .iter()
+                .filter(|w| !matches!(w.state, WfState::Done))
+                .count();
+            if unfinished > 0 && cu.retrying_waves() == unfinished {
+                return h.engine.cycle();
+            }
+        }
+    }
+
+    /// Two waves reading distinct lines of one page: the second one's
+    /// read finds the first one's miss holding the only free resource.
+    fn two_line_reads() -> Vec<WavefrontTrace> {
+        [0x1000, 0x1040]
+            .into_iter()
+            .enumerate()
+            .map(|(i, va)| {
+                wave(
+                    i as u32,
+                    vec![WavefrontOp::Mem(CoalescedAccess::read(VAddr(va), 8))],
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_wave_stalled_on_the_outstanding_cap_sleeps_until_a_response() {
+        let mut h = harness_with(two_line_reads(), 0, |cfg| cfg.max_outstanding_per_cu = 1);
+        let now = run_until_only_retrying(&mut h);
+        let cu = cu(&h);
+        assert!(cu.outstanding >= cu.max_outstanding, "cap stall");
+        assert_eq!(cu.next_wake(now), Wake::OnMessage);
+        h.engine.run_to_quiescence(10_000);
+        assert_eq!(h.reqs.lock().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn a_wave_stalled_on_a_full_l1_mshr_sleeps_until_a_response() {
+        let mut h = harness_with(two_line_reads(), 0, |cfg| cfg.l1.mshr_entries = 1);
+        let now = run_until_only_retrying(&mut h);
+        let cu = cu(&h);
+        assert!(cu.outstanding < cu.max_outstanding, "not a cap stall");
+        assert!(cu.l1.mshr_stalls() > 0, "L1 stall");
+        assert_eq!(cu.next_wake(now), Wake::OnMessage);
+        h.engine.run_to_quiescence(10_000);
+        assert_eq!(h.reqs.lock().unwrap().len(), 2);
+    }
+
+    fn state_bytes(cu: &Cu) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        cu.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// Four waves of single-sector reads (and some writes) over twelve
+    /// lines in each of four pages, with compute gaps.
+    fn contended_waves() -> Vec<WavefrontTrace> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        (0..4)
+            .map(|i| {
+                let mut ops = Vec::new();
+                for _ in 0..60 {
+                    let va = VAddr(0x1000 * (1 + next(4)) + next(12) * 64 + next(4) * 16);
+                    let kind = if next(8) == 0 {
+                        AccessKind::Write
+                    } else {
+                        AccessKind::Read
+                    };
+                    ops.push(WavefrontOp::Mem(CoalescedAccess::with_mask(
+                        va,
+                        kind,
+                        LineMask::span(va.line_offset(), 8),
+                    )));
+                    ops.push(WavefrontOp::Compute(1 + next(3) as u32));
+                }
+                wave(i, ops)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn parked_retries_match_legacy_state_at_every_tick() {
+        // Per-sector fills into a tiny L1 (4 sets x 2 ways) with a
+        // two-entry MSHR and a three-access cap: reads stall on the cap,
+        // on a full MSHR, and on in-flight fills that miss their sector
+        // while the line is resident, and evictions depend on LRU stamps.
+        // A two-entry L1 TLB keeps translations arriving mid-run; one that
+        // wakes a parked CU can fill the cap before the parked read's real
+        // retry, so the replayed LRU stamp outlives the tick.
+        let tune = |cfg: &mut SystemConfig| {
+            cfg.sector_fill = netcrafter_proto::config::SectorFillPolicy::Always;
+            cfg.l1.size_bytes = 512;
+            cfg.l1.ways = 2;
+            cfg.l1.mshr_entries = 2;
+            cfg.max_outstanding_per_cu = 3;
+            cfg.l1_tlb.entries = 2;
+        };
+        let mut legacy = harness_with(contended_waves(), 0, tune);
+        legacy
+            .engine
+            .set_scheduler(netcrafter_sim::SchedulerMode::Legacy);
+        let mut event = harness_with(contended_waves(), 0, tune);
+        let (mut ticks, mut cap_parks, mut l1_parks) = (0, 0, 0);
+        let mut parked = None;
+        while !(legacy.engine.quiescent() && event.engine.quiescent()) {
+            assert!(legacy.engine.cycle() < 100_000, "did not quiesce");
+            legacy.engine.step();
+            event.engine.step();
+            let cycle = event.engine.cycle();
+            let ev = cu(&event);
+            if ev.last_tick != cycle {
+                continue;
+            }
+            match parked.take() {
+                Some((from, on_cap)) if cycle > from + 1 => {
+                    if on_cap {
+                        cap_parks += 1;
+                    } else {
+                        l1_parks += 1;
+                    }
+                }
+                _ => {}
+            }
+            if ev.retrying_waves() > 0 {
+                parked = Some((cycle, ev.outstanding >= ev.max_outstanding));
+            }
+            ticks += 1;
+            assert!(
+                state_bytes(ev) == state_bytes(cu(&legacy)),
+                "CU state diverges at cycle {cycle}"
+            );
+        }
+        assert!(
+            ticks < legacy.engine.cycle(),
+            "the event-driven CU never slept"
+        );
+        assert!(cap_parks > 0, "no park on the outstanding cap");
+        assert!(l1_parks > 0, "no park on an L1 stall");
+        assert_eq!(cu(&event).stats.idle_cycles, cu(&legacy).stats.idle_cycles);
+        assert_eq!(cu(&event).l1.mshr_stalls(), cu(&legacy).l1.mshr_stalls());
     }
 }

@@ -30,7 +30,8 @@ pub enum L1Access {
     /// wakes when that fill lands. No new request is needed.
     MergedMiss,
     /// The MSHR is full (or an in-flight partial fill cannot satisfy this
-    /// request): retry next cycle.
+    /// request): retry once a fill has landed. Until then every retry
+    /// stalls the same way ([`L1Cache::replay_stalls`]).
     Stall,
 }
 
@@ -233,6 +234,37 @@ impl L1Cache {
         }
     }
 
+    /// True when a read of `mask` of `line` would get [`L1Access::Stall`]
+    /// right now: the needed sectors are not resident, and the MSHR either
+    /// holds an entry for the line whose fill misses some of them or has
+    /// no entry for it and no room for one. Touches nothing.
+    pub fn would_stall(&self, line: LineAddr, mask: LineMask) -> bool {
+        let needed = mask.sectors(self.granularity as u64);
+        let key = line.0 / LINE_BYTES;
+        if self
+            .tags
+            .peek(key)
+            .is_some_and(|valid| needed & !valid == 0)
+        {
+            return false;
+        }
+        if self.mshr.contains(key) {
+            needed & !self.mshr.coverage(key) != 0
+        } else {
+            self.mshr.is_full()
+        }
+    }
+
+    /// Applies the side effects of `n` stalled [`L1Cache::read`]s of
+    /// `line`, the last at cycle `last`, without re-running them: the
+    /// line's LRU stamp (if it is resident) moves to `last`, and the
+    /// MSHR counts `n` stalls. Nothing else changes between stalled
+    /// attempts while no fill lands, so this equals `n` real attempts.
+    pub fn replay_stalls(&mut self, line: LineAddr, last: u64, n: u64) {
+        let _ = self.tags.lookup(line.0 / LINE_BYTES, last);
+        self.mshr.full_stalls += n;
+    }
+
     /// Performs a write lookup. The L1 is write-through and
     /// no-write-allocate: the write always propagates to the owning L2;
     /// if the line is resident its written sectors remain valid (data
@@ -266,9 +298,15 @@ impl L1Cache {
         !self.mshr.is_empty()
     }
 
-    /// MSHR stall count (diagnostics).
+    /// Read attempts the MSHR refused: one per wave per stalled cycle.
     pub fn mshr_stalls(&self) -> u64 {
         self.mshr.full_stalls
+    }
+
+    /// Dumps the statistics plus the MSHR stall count under `prefix`.
+    pub fn report(&self, metrics: &mut Metrics, prefix: &str) {
+        self.stats.report(metrics, prefix);
+        metrics.add(&format!("{prefix}.mshr_stalls"), self.mshr_stalls());
     }
 
     /// Appends the cache's dynamic state (tags, MSHR, stats) to `w`; the
@@ -457,5 +495,46 @@ mod tests {
             c.read(line(6), LineMask::span(0, 8), AccessId(1), 1, false),
             L1Access::Miss { .. }
         ));
+    }
+
+    fn state_bytes(c: &L1Cache) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn replayed_stalls_equal_real_stalled_reads() {
+        // Line 3 is resident with sector 0 only; a fill of sector 3 is in
+        // flight. A read of sector 2 cannot merge into it and stalls, and
+        // keeps stalling until that fill lands.
+        let mut real = cache(SectorFillPolicy::Always);
+        real.read(line(3), LineMask::span(0, 8), AccessId(1), 0, false);
+        real.fill(line(3), 0b0001, 5);
+        real.read(line(3), LineMask::span(48, 8), AccessId(2), 6, false);
+        let sector2 = LineMask::span(32, 8);
+        assert!(real.would_stall(line(3), sector2));
+        assert!(!real.would_stall(line(3), LineMask::span(0, 4)), "a hit");
+        assert!(!real.would_stall(line(3), LineMask::span(48, 4)), "a merge");
+        assert!(!real.would_stall(line(9), sector2), "a free entry");
+        let mut full = cache(SectorFillPolicy::Always);
+        for i in 0..4 {
+            full.read(line(10 + i), sector2, AccessId(i), 0, false);
+        }
+        assert!(full.would_stall(line(9), sector2), "a full MSHR");
+
+        let mut replay = cache(SectorFillPolicy::Always);
+        replay.read(line(3), LineMask::span(0, 8), AccessId(1), 0, false);
+        replay.fill(line(3), 0b0001, 5);
+        replay.read(line(3), LineMask::span(48, 8), AccessId(2), 6, false);
+        for (id, now) in (7..10).enumerate() {
+            assert_eq!(
+                real.read(line(3), sector2, AccessId(3 + id as u64), now, false),
+                L1Access::Stall
+            );
+        }
+        replay.replay_stalls(line(3), 9, 3);
+        assert_eq!(state_bytes(&replay), state_bytes(&real));
+        assert_eq!(replay.mshr_stalls(), 3);
     }
 }

@@ -66,6 +66,11 @@ impl<W> Mshr<W> {
         self.entries.is_empty()
     }
 
+    /// True when every entry is taken: a miss on a new key stalls.
+    pub fn is_full(&self) -> bool {
+        self.entries.len() >= self.capacity
+    }
+
     /// True when a miss on `key` is already in flight.
     pub fn contains(&self, key: u64) -> bool {
         self.entries.contains_key(&key)
@@ -90,7 +95,7 @@ impl<W> Mshr<W> {
             self.full_stalls += 1;
             return MshrOutcome::Stalled;
         }
-        if self.entries.len() >= self.capacity {
+        if self.is_full() {
             self.full_stalls += 1;
             return MshrOutcome::Stalled;
         }

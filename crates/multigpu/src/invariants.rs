@@ -14,17 +14,27 @@
 //! * `Σ gmmu.walks_{1..4}reads == gmmu.walks` and
 //!   `gmmu.walks <= l2tlb.misses` — every walk was started by a miss;
 //! * `l1.hits + l1.misses == l1.reads`;
+//! * `cu.mem_ops == l1.reads + l1.writes` — each memory op is one L1
+//!   lookup, however often it was retried;
+//! * `dram.bytes == 64 × (dram.reads + dram.writes)` — DRAM moves whole
+//!   lines;
+//! * `trim.trimmed <= trim.considered`;
 //! * `l2.read_hits + l2.read_misses == l2.reads` and
 //!   `l2.write_hits + l2.write_misses == l2.writes`;
 //! * `total.rdma.in.<kind> == total.rdma.out.<kind>` — every packet sent
 //!   was received;
 //! * for every Cluster Queue scope, `cq.pushed == cq.popped + cq.absorbed`
 //!   — every flit accepted either left on the link or was stitched into
-//!   one that did.
+//!   one that did;
+//! * for every port scope with a `.flits` counter (per port, per switch's
+//!   inter-cluster ports, and `net`), `data_flits + ptw_flits == flits`,
+//!   `padding0 + padding25 + padding50 + padding75 == flits`, and the
+//!   `kind.*` counts sum to `chunks` — every flit has one class and one
+//!   padding bucket, and every chunk one packet kind.
 //!
 //! [`System::harvest`]: crate::System::harvest
 
-use netcrafter_proto::Metrics;
+use netcrafter_proto::{Metrics, LINE_BYTES};
 
 /// Checks every end-of-run counter identity of `m`.
 ///
@@ -71,6 +81,31 @@ pub fn check_counter_invariants(m: &Metrics) -> Result<(), String> {
             c(format!("{scope}.l1.reads")),
         );
     }
+    for scope in scopes_with(m, ".cu.mem_ops") {
+        equal(
+            format!("{scope}.l1.reads + {scope}.l1.writes vs {scope}.cu.mem_ops"),
+            c(format!("{scope}.l1.reads")) + c(format!("{scope}.l1.writes")),
+            c(format!("{scope}.cu.mem_ops")),
+        );
+    }
+    for scope in scopes_with(m, ".dram.bytes") {
+        equal(
+            format!(
+                "{LINE_BYTES} x ({scope}.dram.reads + {scope}.dram.writes) vs {scope}.dram.bytes"
+            ),
+            LINE_BYTES * (c(format!("{scope}.dram.reads")) + c(format!("{scope}.dram.writes"))),
+            c(format!("{scope}.dram.bytes")),
+        );
+    }
+    for scope in scopes_with(m, ".trim.considered") {
+        // `trimmed <= considered`, as the excess of trimmed over considered.
+        equal(
+            format!("trims beyond candidates, {scope}.trim.trimmed - {scope}.trim.considered"),
+            c(format!("{scope}.trim.trimmed"))
+                .saturating_sub(c(format!("{scope}.trim.considered"))),
+            0,
+        );
+    }
     for scope in scopes_with(m, ".l2.reads") {
         for op in ["read", "write"] {
             equal(
@@ -93,6 +128,30 @@ pub fn check_counter_invariants(m: &Metrics) -> Result<(), String> {
             format!("{scope}.cq.popped + {scope}.cq.absorbed vs {scope}.cq.pushed"),
             c(format!("{scope}.cq.popped")) + c(format!("{scope}.cq.absorbed")),
             c(format!("{scope}.cq.pushed")),
+        );
+    }
+
+    for scope in scopes_with(m, ".flits") {
+        let flits = c(format!("{scope}.flits"));
+        equal(
+            format!("{scope}.data_flits + {scope}.ptw_flits vs {scope}.flits"),
+            c(format!("{scope}.data_flits")) + c(format!("{scope}.ptw_flits")),
+            flits,
+        );
+        equal(
+            format!("{scope}.padding0 + .. + {scope}.padding75 vs {scope}.flits"),
+            [0, 25, 50, 75]
+                .iter()
+                .map(|p| c(format!("{scope}.padding{p}")))
+                .sum(),
+            flits,
+        );
+        equal(
+            format!("sum of {scope}.kind.* vs {scope}.chunks"),
+            m.counters_with_prefix(&format!("{scope}.kind."))
+                .map(|(_, n)| n)
+                .sum(),
+            c(format!("{scope}.chunks")),
         );
     }
 
@@ -138,6 +197,19 @@ mod tests {
             "total.rdma.out.Page_Table_Rsp",
             "net.inter.cq.absorbed",
             "switch0.inter.cq.pushed",
+            "gpu2.cu.mem_ops",
+            "total.l1.writes",
+            "gpu3.dram.bytes",
+            "total.dram.reads",
+            "gpu0.dram.writes",
+            "gpu1.trim.trimmed",
+            "net.inter.flits",
+            "switch1.inter.data_flits",
+            "net.portnode0.ptw_flits",
+            "switch0.portnode1.padding25",
+            "net.inter.padding75",
+            "switch1.portnode2.kind.Write_Req",
+            "net.portnode3.chunks",
         ] {
             assert!(m.counters().any(|(k, _)| k == key), "{key} not harvested");
             let mut mutant = m.clone();

@@ -544,8 +544,8 @@ impl System {
                 let cu: &Cu = self.engine.get(cu_id).expect("cu installed");
                 cu.stats.report(&mut m, &format!("gpu{g}.cu"));
                 cu.stats.report(&mut m, "total.cu");
-                cu.l1.stats.report(&mut m, &format!("gpu{g}.l1"));
-                cu.l1.stats.report(&mut m, "total.l1");
+                cu.l1.report(&mut m, &format!("gpu{g}.l1"));
+                cu.l1.report(&mut m, "total.l1");
                 cu.l1_tlb.stats.report(&mut m, &format!("gpu{g}.l1tlb"));
                 cu.l1_tlb.stats.report(&mut m, "total.l1tlb");
             }

@@ -13,8 +13,12 @@
 //!
 //! Tiny scale never fills the paper's 64-entry L2-TLB MSHR, so the
 //! GMMU's retry path (which sleeps until a page walk completes) is
-//! driven separately, with the MSHR shrunk to two entries.
+//! driven separately, with the MSHR shrunk to two entries. Likewise the
+//! CU's resource stalls (which sleep until a response, replaying the
+//! skipped attempts arithmetically) are driven with a small outstanding
+//! cap and a two-entry L1 MSHR.
 
+use netcrafter_gpu::Cu;
 use netcrafter_multigpu::{
     CheckpointPlan, Experiment, RunResult, System, SystemVariant, TraceData, TraceOptions,
 };
@@ -215,6 +219,92 @@ fn checkpoint_taken_mid_retry_storm_restores_bit_identically() {
         (cold.clone(), cold_data),
         (warm.result, warm_data),
         "restored mid-storm",
+    );
+
+    // The snapshot also resumes under the Legacy referee.
+    let mut sys = build(&exp);
+    sys.restore(&bytes).expect("snapshot restores");
+    sys.engine.set_scheduler(SchedulerMode::Legacy);
+    assert_eq!(sys.run(exp.max_cycles), cold.exec_cycles);
+    assert_eq!(sys.harvest().to_kv(), cold.metrics.to_kv());
+}
+
+/// The quick experiment with an 8-access outstanding cap and a 2-entry
+/// L1 MSHR, so CU reads stall on both and park until a response.
+fn cu_starved(workload: Workload, variant: SystemVariant) -> Experiment {
+    let exp = Experiment::quick(workload, variant);
+    let mut cfg = exp.base_cfg;
+    cfg.max_outstanding_per_cu = 8;
+    cfg.l1.mshr_entries = 2;
+    exp.with_base_cfg(cfg)
+}
+
+#[test]
+fn legacy_matches_event_when_cus_stall_on_resources() {
+    for workload in [Workload::Mt, Workload::Pr] {
+        for variant in [SystemVariant::Baseline, SystemVariant::NetCrafter] {
+            let exp = cu_starved(workload, variant);
+            let legacy = run_legacy(&exp, &trace_opts());
+            let event = exp.run_traced(&trace_opts());
+            assert!(
+                event.0.metrics.counter("total.l1.mshr_stalls") > 0,
+                "{workload:?}/{variant:?}: the L1 stall path was never reached"
+            );
+            assert_identical(
+                legacy,
+                event,
+                &format!("cu-starved {workload:?}/{variant:?}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn checkpoint_taken_mid_cu_stall_restores_bit_identically() {
+    let exp = cu_starved(Workload::Pr, SystemVariant::NetCrafter);
+    // Find a cycle at which some CU holds a wave retrying an access.
+    let mut sys = build(&exp);
+    let stall = loop {
+        assert!(!sys.engine.quiescent(), "no CU ever stalled");
+        let cycle = sys.run_until(sys.engine.cycle() + 1);
+        let retrying: usize = sys
+            .ids
+            .cus
+            .iter()
+            .flatten()
+            .map(|&id| {
+                let cu: &Cu = sys.engine.get(id).expect("cu installed");
+                cu.retrying_waves()
+            })
+            .sum();
+        if retrying > 0 {
+            break cycle;
+        }
+    };
+
+    let (cold, cold_data) = exp.run_traced(&trace_opts());
+    let take = CheckpointPlan {
+        checkpoint_at: Some(stall),
+        ..CheckpointPlan::default()
+    };
+    let (ckpt, _) = exp
+        .run_traced_checkpointed(&trace_opts(), &take)
+        .expect("no restore involved");
+    let (cycle, bytes) = ckpt.snapshot.expect("checkpoint requested");
+    assert_eq!(cycle, stall);
+
+    let resume = CheckpointPlan {
+        restore_from: Some(bytes.clone()),
+        ..CheckpointPlan::default()
+    };
+    let (warm, warm_data) = exp
+        .run_traced_checkpointed(&trace_opts(), &resume)
+        .expect("snapshot restores");
+    assert_eq!(warm.resumed_at, stall);
+    assert_identical(
+        (cold.clone(), cold_data),
+        (warm.result, warm_data),
+        "restored mid-stall",
     );
 
     // The snapshot also resumes under the Legacy referee.
